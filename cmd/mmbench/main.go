@@ -187,23 +187,21 @@ func suiteTest(name string) (*litmus.Test, bool) {
 
 func main() {
 	var (
-		out              = flag.String("out", "BENCH_enum.json", "output file (\"-\" for stdout)")
-		workers          = flag.String("workers", "1,2,4,8", "comma-separated worker counts for the parallel sweep")
-		timeout          = flag.Duration("timeout", 0, "wall-clock budget; an interrupted suite fails rather than emitting a skewed snapshot")
-		prune            = flag.String("prune", cli.PruneAll, "search-pruning layers: comma-separated subset of closure,prefix,symmetry; all; off")
-		cow              = flag.String("cow", "on", "copy-on-write closure sharing: on or off (deep-copy forks)")
-		dedupMem         = flag.String("dedup-mem", "off", "seen-set memory budget (bytes; k/m/g suffix) — overflow spills to disk; off = unbounded in-memory")
-		frontierResident = flag.String("frontier-resident", "auto", "resident frontier budget (bytes; k/m/g suffix); auto sizes from the node ceiling; off = keep everything resident. E15 pins its own 1m budget regardless")
-		gogc             = flag.Int("gogc", -1, "debug.SetGCPercent during the timed loops: -1 (the default) turns the background collector off while timing — GC pacing is the biggest run-to-run variance source, but the heap then grows for the whole suite, so prefer 0 (keep the process setting) on memory-tight hosts or when comparing against a GC-on snapshot")
-		maxprocs         = flag.Int("maxprocs", 0, "GOMAXPROCS for the whole run; 0 keeps the runtime default")
-		baseline         = flag.String("baseline", "", "compare against this snapshot and exit non-zero on regressions")
-		threshold        = flag.Float64("threshold", 10, "max allowed states-explored regression in percent (with -baseline)")
-		nsThresh         = flag.Float64("ns-threshold", -1, "max allowed ns/op regression in percent; negative = report-only (with -baseline)")
-		allocTh          = flag.Float64("alloc-threshold", 10, "max allowed allocs/op regression in percent; negative = report-only (with -baseline)")
-		resolveTh        = flag.Float64("resolve-threshold", -1, "max allowed regression in the resolve-phase time share (enum_phase_resolve_ns_total / ns_per_op) of the heavy E13/E14 entries, in percent; negative = report-only (with -baseline)")
-		forksTh          = flag.Float64("forks-threshold", 10, "max allowed forks/op regression on the heavy E13–E15 entries, in percent; negative = report-only (with -baseline)")
-		frontTh          = flag.Float64("frontier-threshold", 10, "max allowed resident-frontier-peak regression on the heavy E13–E15 entries, in percent; negative = report-only (with -baseline)")
+		out       = flag.String("out", "BENCH_enum.json", "output file (\"-\" for stdout)")
+		workers   = flag.String("workers", "1,2,4,8", "comma-separated worker counts for the parallel sweep")
+		timeout   = flag.Duration("timeout", 0, "wall-clock budget; an interrupted suite fails rather than emitting a skewed snapshot")
+		gogc      = flag.Int("gogc", -1, "debug.SetGCPercent during the timed loops: -1 (the default) turns the background collector off while timing — GC pacing is the biggest run-to-run variance source, but the heap then grows for the whole suite, so prefer 0 (keep the process setting) on memory-tight hosts or when comparing against a GC-on snapshot")
+		maxprocs  = flag.Int("maxprocs", 0, "GOMAXPROCS for the whole run; 0 keeps the runtime default")
+		baseline  = flag.String("baseline", "", "compare against this snapshot and exit non-zero on regressions")
+		threshold = flag.Float64("threshold", 10, "max allowed states-explored regression in percent (with -baseline)")
+		nsThresh  = flag.Float64("ns-threshold", -1, "max allowed ns/op regression in percent; negative = report-only (with -baseline)")
+		allocTh   = flag.Float64("alloc-threshold", 10, "max allowed allocs/op regression in percent; negative = report-only (with -baseline)")
+		resolveTh = flag.Float64("resolve-threshold", -1, "max allowed regression in the resolve-phase time share (enum_phase_resolve_ns_total / ns_per_op) of the heavy E13/E14 entries, in percent; negative = report-only (with -baseline)")
+		forksTh   = flag.Float64("forks-threshold", 10, "max allowed forks/op regression on the heavy E13–E15 entries, in percent; negative = report-only (with -baseline)")
+		frontTh   = flag.Float64("frontier-threshold", 10, "max allowed resident-frontier-peak regression on the heavy E13–E15 entries, in percent; negative = report-only (with -baseline)")
 	)
+	// E15 pins its own 1m -frontier-resident budget regardless.
+	engine := cli.RegisterEngineFlags("", true)
 	tel.RegisterFlags()
 	flag.Parse()
 	// The guard form must never clobber the baseline it is judging
@@ -225,16 +223,7 @@ func main() {
 	defer tel.Close()
 
 	var pruneOpts core.Options
-	if err := cli.ApplyPrune(&pruneOpts, *prune); err != nil {
-		fatalf("%v", err)
-	}
-	if err := cli.ApplyCOW(&pruneOpts, *cow); err != nil {
-		fatalf("%v", err)
-	}
-	if err := cli.ApplyDedupMem(&pruneOpts, *dedupMem); err != nil {
-		fatalf("%v", err)
-	}
-	if err := cli.ApplyFrontierResident(&pruneOpts, *frontierResident); err != nil {
+	if err := engine.Apply(&pruneOpts); err != nil {
 		fatalf("%v", err)
 	}
 
@@ -260,10 +249,10 @@ func main() {
 		NumCPU:           runtime.NumCPU(),
 		Gogc:             *gogc,
 		Gomaxprocs:       runtime.GOMAXPROCS(0),
-		Prune:            *prune,
-		Cow:              *cow,
-		DedupMem:         *dedupMem,
-		FrontierResident: *frontierResident,
+		Prune:            engine.Prune,
+		Cow:              engine.COW,
+		DedupMem:         engine.DedupMem,
+		FrontierResident: engine.FrontierResident,
 	}
 	// The cap is about what the scheduler can actually use, not what the
 	// hardware reports: sweep entries wider than GOMAXPROCS would time
@@ -509,7 +498,7 @@ func compareToBaseline(w *os.File, base, cur *snapshot, stThresh, nsThresh, allo
 			r.Name, baseShare*100, curShare*100, delta, mark)
 	}
 	// Fork-elision gate on the heavy entries: forks/op and the resident-
-	// frontier peak are deterministic (sequential engine), so a change
+	// frontier peak are deterministic at width 1, so a change
 	// that quietly re-materializes pruned children or re-inflates the
 	// queue fails here even when ns/op hides it in host noise.
 	for _, r := range rows {
@@ -606,13 +595,7 @@ func measuredRun(ctx context.Context, tc *litmus.Test, model string, workers int
 		opts := pruneOpts
 		opts.Speculative = m.Speculative
 		opts.Metrics = met
-		var err error
-		if workers > 1 {
-			_, err = core.EnumerateParallel(ctx, tc.Build(), m.Policy, opts, workers)
-		} else {
-			_, err = core.Enumerate(ctx, tc.Build(), m.Policy, opts)
-		}
-		if err != nil {
+		if _, err := core.EnumerateParallel(ctx, tc.Build(), m.Policy, opts, workers); err != nil {
 			return nil
 		}
 		snaps = append(snaps, met.Snapshot())

@@ -42,22 +42,19 @@ import (
 
 func main() {
 	var (
-		list             = flag.Bool("list", false, "list registered litmus tests and exit")
-		listen           = flag.String("listen", "127.0.0.1:0", "coordinator listen address (host:port; port 0 picks a free one)")
-		model            = flag.String("model", "Relaxed", "model configuration (SC, TSO, NaiveTSO, PSO, Relaxed, Relaxed+spec)")
-		shards           = flag.Int("shards", 16, "partition the frontier into about this many shards")
-		leaseDur         = flag.Duration("lease", 10*time.Second, "shard lease duration; a lease not renewed by a heartbeat returns its shard to the queue")
-		heartbeat        = flag.Duration("heartbeat", 0, "worker heartbeat interval (default lease/3)")
-		deadline         = flag.Duration("deadline", time.Minute, "degrade to a partial result after this long with pending shards and no worker contact (<0 waits forever)")
-		prune            = flag.String("prune", cli.PruneAll, "search-pruning layers: comma-separated subset of closure,prefix,symmetry; all; off")
-		cow              = flag.String("cow", "on", "copy-on-write closure sharing: on or off")
-		dedupMem         = flag.String("dedup-mem", "off", "per-worker seen-set memory budget (bytes; k/m/g suffix); off = unbounded in-memory")
-		frontierResident = flag.String("frontier-resident", "auto", "per-worker resident frontier budget (bytes; k/m/g suffix); auto sizes from the node ceiling; off = keep everything resident")
-		timeout          = flag.Duration("timeout", 0, "wall-clock budget; on expiry (or Ctrl-C) the partial merge is printed")
-		selfcheck        = flag.Bool("selfcheck", false, "also run single-process and fail unless the merged set is bit-identical")
-		sources          = flag.Bool("sources", false, "print load→store source assignments, not just values")
+		list      = flag.Bool("list", false, "list registered litmus tests and exit")
+		listen    = flag.String("listen", "127.0.0.1:0", "coordinator listen address (host:port; port 0 picks a free one)")
+		model     = flag.String("model", "Relaxed", "model configuration (SC, TSO, NaiveTSO, PSO, Relaxed, Relaxed+spec)")
+		shards    = flag.Int("shards", 16, "partition the frontier into about this many shards")
+		leaseDur  = flag.Duration("lease", 10*time.Second, "shard lease duration; a lease not renewed by a heartbeat returns its shard to the queue")
+		heartbeat = flag.Duration("heartbeat", 0, "worker heartbeat interval (default lease/3)")
+		deadline  = flag.Duration("deadline", time.Minute, "degrade to a partial result after this long with pending shards and no worker contact (<0 waits forever)")
+		timeout   = flag.Duration("timeout", 0, "wall-clock budget; on expiry (or Ctrl-C) the partial merge is printed")
+		selfcheck = flag.Bool("selfcheck", false, "also run single-process and fail unless the merged set is bit-identical")
+		sources   = flag.Bool("sources", false, "print load→store source assignments, not just values")
 	)
 	var tel cli.Telemetry
+	engine := cli.RegisterEngineFlags("each worker", true)
 	tel.RegisterFlags()
 	flag.Parse()
 
@@ -83,10 +80,10 @@ func main() {
 	job := dist.JobSpec{
 		Test:             flag.Arg(0),
 		Model:            *model,
-		Prune:            *prune,
-		COW:              *cow,
-		DedupMem:         *dedupMem,
-		FrontierResident: *frontierResident,
+		Prune:            engine.Prune,
+		COW:              engine.COW,
+		DedupMem:         engine.DedupMem,
+		FrontierResident: engine.FrontierResident,
 	}
 	coord, err := dist.NewCoordinator(ctx, dist.Config{
 		Listen:         *listen,

@@ -37,25 +37,22 @@ import (
 
 func main() {
 	var (
-		list             = flag.Bool("list", false, "list registered litmus tests and exit")
-		model            = flag.String("model", "Relaxed", "model configuration (SC, TSO, NaiveTSO, PSO, Relaxed, Relaxed+spec)")
-		sources          = flag.Bool("sources", false, "print load→store source assignments, not just values")
-		graph            = flag.Bool("graph", false, "dump each execution's edge list")
-		dot              = flag.Bool("dot", false, "emit each execution as a Graphviz digraph")
-		file             = flag.String("file", "", "load the test from a .litmus file instead of the registry")
-		serialize        = flag.Bool("serialize", false, "print a witness serialization per execution (or report non-serializability)")
-		why              = flag.String("why", "", "explain an outcome (\"L5=3,L6=1\"): check every justifying source assignment")
-		workers          = flag.Int("workers", 1, "enumerate with N parallel workers (0 = one per CPU)")
-		prune            = flag.String("prune", cli.PruneAll, "search-pruning layers: comma-separated subset of closure,prefix,symmetry; all; off")
-		cow              = flag.String("cow", "on", "copy-on-write closure sharing: on or off (deep-copy forks)")
-		dedupMem         = flag.String("dedup-mem", "off", "seen-set memory budget (bytes; k/m/g suffix) — overflow spills to disk; off = unbounded in-memory")
-		frontierResident = flag.String("frontier-resident", "auto", "resident frontier budget (bytes; k/m/g suffix) — queued states beyond it are demoted to compressed replay paths; auto sizes from -max-nodes; off = keep everything resident")
-		timeout          = flag.Duration("timeout", 0, "wall-clock budget; on expiry (or Ctrl-C) partial results are printed")
-		ckptPath         = flag.String("checkpoint", "", "write a resumable checkpoint here periodically and on interrupt")
-		ckptEvery        = flag.Duration("checkpoint-every", 5*time.Second, "timed checkpoint interval (with -checkpoint)")
-		resume           = flag.Bool("resume", false, "seed the run from the -checkpoint file instead of starting fresh")
+		list      = flag.Bool("list", false, "list registered litmus tests and exit")
+		model     = flag.String("model", "Relaxed", "model configuration (SC, TSO, NaiveTSO, PSO, Relaxed, Relaxed+spec)")
+		sources   = flag.Bool("sources", false, "print load→store source assignments, not just values")
+		graph     = flag.Bool("graph", false, "dump each execution's edge list")
+		dot       = flag.Bool("dot", false, "emit each execution as a Graphviz digraph")
+		file      = flag.String("file", "", "load the test from a .litmus file instead of the registry")
+		serialize = flag.Bool("serialize", false, "print a witness serialization per execution (or report non-serializability)")
+		why       = flag.String("why", "", "explain an outcome (\"L5=3,L6=1\"): check every justifying source assignment")
+		workers   = flag.Int("workers", 1, "enumerate with N parallel workers (0 = one per CPU)")
+		timeout   = flag.Duration("timeout", 0, "wall-clock budget; on expiry (or Ctrl-C) partial results are printed")
+		ckptPath  = flag.String("checkpoint", "", "write a resumable checkpoint here periodically and on interrupt")
+		ckptEvery = flag.Duration("checkpoint-every", 5*time.Second, "timed checkpoint interval (with -checkpoint)")
+		resume    = flag.Bool("resume", false, "seed the run from the -checkpoint file instead of starting fresh")
 	)
 	var tel cli.Telemetry
+	engine := cli.RegisterEngineFlags("", true)
 	tel.RegisterFlags()
 	tel.RegisterProgressFlag()
 	flag.Parse()
@@ -144,19 +141,7 @@ func main() {
 	}
 	defer tel.Close()
 	opts := core.Options{Speculative: m.Speculative, Metrics: tel.Enum(), Tracer: tel.Tracer(), Journal: tel.Journal()}
-	if err := cli.ApplyPrune(&opts, *prune); err != nil {
-		fmt.Fprintf(os.Stderr, "mmenum: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cli.ApplyCOW(&opts, *cow); err != nil {
-		fmt.Fprintf(os.Stderr, "mmenum: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cli.ApplyDedupMem(&opts, *dedupMem); err != nil {
-		fmt.Fprintf(os.Stderr, "mmenum: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cli.ApplyFrontierResident(&opts, *frontierResident); err != nil {
+	if err := engine.Apply(&opts); err != nil {
 		fmt.Fprintf(os.Stderr, "mmenum: %v\n", err)
 		os.Exit(2)
 	}

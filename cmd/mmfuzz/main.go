@@ -36,20 +36,17 @@ import (
 
 func main() {
 	var (
-		n                = flag.Int("n", 100, "number of random programs")
-		threads          = flag.Int("threads", 2, "threads per program")
-		ops              = flag.Int("ops", 4, "instructions per thread")
-		seed0            = flag.Int64("seed", 0, "starting seed")
-		workers          = flag.Int("workers", 0, "also cross-check EnumerateParallel with N workers (0 = skip)")
-		prune            = flag.String("prune", cli.PruneAll, "search-pruning layers under test: comma-separated subset of closure,prefix,symmetry; all; off")
-		cow              = flag.String("cow", "on", "copy-on-write closure sharing in the engine under test: on or off (deep-copy forks)")
-		dedupMem         = flag.String("dedup-mem", "off", "seen-set memory budget for the engine under test (bytes; k/m/g suffix); the baseline stays unbounded so the differential cross-checks spill against in-memory dedup")
-		frontierResident = flag.String("frontier-resident", "auto", "resident frontier budget for the engine under test (bytes; k/m/g suffix); the baseline keeps everything resident so the differential cross-checks demotion/replay against the classic frontier")
-		timeout          = flag.Duration("timeout", 0, "wall-clock budget; stop early with a partial summary")
-		faultsFl         = flag.String("faults", "", "inject coherence bus faults into the machine runs (\"on\" or delay=P,reorder=P,retry=P,...)")
-		verbose          = flag.Bool("v", false, "print per-program statistics")
+		n        = flag.Int("n", 100, "number of random programs")
+		threads  = flag.Int("threads", 2, "threads per program")
+		ops      = flag.Int("ops", 4, "instructions per thread")
+		seed0    = flag.Int64("seed", 0, "starting seed")
+		workers  = flag.Int("workers", 0, "also cross-check EnumerateParallel with N workers (0 = skip)")
+		timeout  = flag.Duration("timeout", 0, "wall-clock budget; stop early with a partial summary")
+		faultsFl = flag.String("faults", "", "inject coherence bus faults into the machine runs (\"on\" or delay=P,reorder=P,retry=P,...)")
+		verbose  = flag.Bool("v", false, "print per-program statistics")
 	)
 	var tel cli.Telemetry
+	engine := cli.RegisterEngineFlags("the engine under test", true)
 	tel.RegisterFlags()
 	tel.RegisterProgressFlag()
 	flag.Parse()
@@ -62,19 +59,7 @@ func main() {
 		os.Exit(2)
 	}
 	var pruneOpts core.Options
-	if err := cli.ApplyPrune(&pruneOpts, *prune); err != nil {
-		fmt.Fprintf(os.Stderr, "mmfuzz: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cli.ApplyCOW(&pruneOpts, *cow); err != nil {
-		fmt.Fprintf(os.Stderr, "mmfuzz: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cli.ApplyDedupMem(&pruneOpts, *dedupMem); err != nil {
-		fmt.Fprintf(os.Stderr, "mmfuzz: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cli.ApplyFrontierResident(&pruneOpts, *frontierResident); err != nil {
+	if err := engine.Apply(&pruneOpts); err != nil {
 		fmt.Fprintf(os.Stderr, "mmfuzz: %v\n", err)
 		os.Exit(2)
 	}

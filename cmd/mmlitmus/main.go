@@ -24,14 +24,12 @@ import (
 
 func main() {
 	var (
-		table            = flag.Bool("table", false, "print the reordering axiom tables and exit")
-		outcomes         = flag.Bool("outcomes", false, "list distinct outcomes per test/model")
-		timeout          = flag.Duration("timeout", 0, "wall-clock budget for the whole matrix")
-		cow              = flag.String("cow", "on", "copy-on-write closure sharing: on or off (deep-copy forks)")
-		dedupMem         = flag.String("dedup-mem", "off", "seen-set memory budget (bytes; k/m/g suffix) — overflow spills to disk; off = unbounded in-memory")
-		frontierResident = flag.String("frontier-resident", "auto", "resident frontier budget (bytes; k/m/g suffix) — overflow demotes to compressed replay paths; auto sizes from the node ceiling; off = keep everything resident")
+		table    = flag.Bool("table", false, "print the reordering axiom tables and exit")
+		outcomes = flag.Bool("outcomes", false, "list distinct outcomes per test/model")
+		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the whole matrix")
 	)
 	var tel cli.Telemetry
+	engine := cli.RegisterEngineFlags("", false)
 	tel.RegisterFlags()
 	flag.Parse()
 
@@ -47,15 +45,7 @@ func main() {
 	}
 
 	var cowOpts core.Options
-	if err := cli.ApplyCOW(&cowOpts, *cow); err != nil {
-		fmt.Fprintf(os.Stderr, "mmlitmus: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cli.ApplyDedupMem(&cowOpts, *dedupMem); err != nil {
-		fmt.Fprintf(os.Stderr, "mmlitmus: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cli.ApplyFrontierResident(&cowOpts, *frontierResident); err != nil {
+	if err := engine.Apply(&cowOpts); err != nil {
 		fmt.Fprintf(os.Stderr, "mmlitmus: %v\n", err)
 		os.Exit(2)
 	}

@@ -128,28 +128,25 @@ func quantiles(ns []int64) latency {
 
 func main() {
 	var (
-		addr             = flag.String("addr", "", "mmserve address (host:port) — required")
-		model            = flag.String("model", "TSO", "model sent with every request (SC, TSO, NaiveTSO, PSO, Relaxed, Relaxed+spec)")
-		tests            = flag.String("tests", defaultCorpus, "comma-separated corpus, hottest first (zipf rank order)")
-		skew             = flag.Float64("skew", 1.4, "zipf skew s (> 1; higher concentrates traffic on the head of the corpus)")
-		conc             = flag.Int("concurrency", 8, "concurrent client goroutines")
-		requests         = flag.Int("requests", 400, "total requests to issue")
-		seed             = flag.Int64("seed", 1, "zipf PRNG seed (per-worker streams derive from it)")
-		maxBeh           = flag.Int("max-behaviors", 0, "per-request MaxBehaviors (0 = server default; part of the cache key)")
-		verify           = flag.Int("verify", 0, "after the replay, verify this many distinct corpus entries bit-identical to a local sequential enumeration")
-		minHit           = flag.Float64("min-hit-rate", 0, "gate: fail unless hits/(hits+misses) ≥ this")
-		minSpeed         = flag.Float64("min-hit-speedup", 0, "gate: fail unless the server-side miss p95 / hit p95 (from /status) ≥ this")
-		maxDB            = flag.Float64("max-db-ratio", 0, "gate: fail unless journal db_calls / logical_writes ≤ this")
-		maxMiss          = flag.Int("max-misses", -1, "gate: fail if misses exceed this (-1 = off)")
-		synth            = flag.Int("synthetic", 0, "replace -tests with this many generated wide-SB programs (distinct fingerprints, expensive misses)")
-		synthThr         = flag.Int("synthetic-threads", 4, "threads per synthetic program (cost grows combinatorially)")
-		synthLds         = flag.Int("synthetic-loads", 2, "loads per thread in synthetic programs")
-		prune            = flag.String("prune", cli.PruneAll, "search-pruning layers for the -verify oracle: comma-separated subset of closure,prefix,symmetry; all; off")
-		cow              = flag.String("cow", "on", "copy-on-write closure sharing for the -verify oracle: on or off (deep-copy forks)")
-		dedupMem         = flag.String("dedup-mem", "off", "seen-set memory budget for the -verify oracle (bytes; k/m/g suffix; off = unbounded in-memory)")
-		frontierResident = flag.String("frontier-resident", "auto", "resident frontier budget for the -verify oracle (bytes; k/m/g suffix); auto sizes from the node ceiling; off = keep everything resident")
+		addr     = flag.String("addr", "", "mmserve address (host:port) — required")
+		model    = flag.String("model", "TSO", "model sent with every request (SC, TSO, NaiveTSO, PSO, Relaxed, Relaxed+spec)")
+		tests    = flag.String("tests", defaultCorpus, "comma-separated corpus, hottest first (zipf rank order)")
+		skew     = flag.Float64("skew", 1.4, "zipf skew s (> 1; higher concentrates traffic on the head of the corpus)")
+		conc     = flag.Int("concurrency", 8, "concurrent client goroutines")
+		requests = flag.Int("requests", 400, "total requests to issue")
+		seed     = flag.Int64("seed", 1, "zipf PRNG seed (per-worker streams derive from it)")
+		maxBeh   = flag.Int("max-behaviors", 0, "per-request MaxBehaviors (0 = server default; part of the cache key)")
+		verify   = flag.Int("verify", 0, "after the replay, verify this many distinct corpus entries bit-identical to a local sequential enumeration")
+		minHit   = flag.Float64("min-hit-rate", 0, "gate: fail unless hits/(hits+misses) ≥ this")
+		minSpeed = flag.Float64("min-hit-speedup", 0, "gate: fail unless the server-side miss p95 / hit p95 (from /status) ≥ this")
+		maxDB    = flag.Float64("max-db-ratio", 0, "gate: fail unless journal db_calls / logical_writes ≤ this")
+		maxMiss  = flag.Int("max-misses", -1, "gate: fail if misses exceed this (-1 = off)")
+		synth    = flag.Int("synthetic", 0, "replace -tests with this many generated wide-SB programs (distinct fingerprints, expensive misses)")
+		synthThr = flag.Int("synthetic-threads", 4, "threads per synthetic program (cost grows combinatorially)")
+		synthLds = flag.Int("synthetic-loads", 2, "loads per thread in synthetic programs")
 	)
 	var tel cli.Telemetry
+	engine := cli.RegisterEngineFlags("the -verify oracle", true)
 	tel.RegisterFlags()
 	flag.Parse()
 	if *addr == "" {
@@ -172,10 +169,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	fail(cli.ApplyPrune(&oracleOpts, *prune))
-	fail(cli.ApplyCOW(&oracleOpts, *cow))
-	fail(cli.ApplyDedupMem(&oracleOpts, *dedupMem))
-	fail(cli.ApplyFrontierResident(&oracleOpts, *frontierResident))
+	fail(engine.Apply(&oracleOpts))
 
 	m, ok := litmus.ModelByName(*model)
 	if !ok {

@@ -30,14 +30,12 @@ var addrByName = map[string]program.Addr{
 
 func main() {
 	var (
-		model            = flag.String("model", "Relaxed", "model configuration")
-		syncL            = flag.String("sync", "", "comma-separated synchronization addresses (x,y,...)")
-		timeout          = flag.Duration("timeout", 0, "wall-clock budget for the enumeration")
-		cow              = flag.String("cow", "on", "copy-on-write closure sharing: on or off (deep-copy forks)")
-		dedupMem         = flag.String("dedup-mem", "off", "seen-set memory budget (bytes; k/m/g suffix) — overflow spills to disk; off = unbounded in-memory")
-		frontierResident = flag.String("frontier-resident", "auto", "resident frontier budget (bytes; k/m/g suffix) — overflow demotes to compressed replay paths; auto sizes from the node ceiling; off = keep everything resident")
+		model   = flag.String("model", "Relaxed", "model configuration")
+		syncL   = flag.String("sync", "", "comma-separated synchronization addresses (x,y,...)")
+		timeout = flag.Duration("timeout", 0, "wall-clock budget for the enumeration")
 	)
 	var tel cli.Telemetry
+	engine := cli.RegisterEngineFlags("", false)
 	tel.RegisterFlags()
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -74,15 +72,7 @@ func main() {
 	}
 	defer tel.Close()
 	opts := core.Options{Speculative: m.Speculative, Metrics: tel.Enum(), Tracer: tel.Tracer(), Journal: tel.Journal()}
-	if err := cli.ApplyCOW(&opts, *cow); err != nil {
-		fmt.Fprintf(os.Stderr, "mmrace: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cli.ApplyDedupMem(&opts, *dedupMem); err != nil {
-		fmt.Fprintf(os.Stderr, "mmrace: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cli.ApplyFrontierResident(&opts, *frontierResident); err != nil {
+	if err := engine.Apply(&opts); err != nil {
 		fmt.Fprintf(os.Stderr, "mmrace: %v\n", err)
 		os.Exit(2)
 	}

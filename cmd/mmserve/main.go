@@ -42,21 +42,18 @@ import (
 
 func main() {
 	var (
-		addr             = flag.String("addr", "127.0.0.1:7090", "listen address for the service endpoints")
-		cacheMem         = flag.String("cache-mem", "64m", "memo-cache byte budget (k/m/g suffix; off = unbounded) — LRU eviction keeps resident bodies under it")
-		store            = flag.String("store", "", "persist the cache to this NDJSON journal (write-behind, batched); replayed on restart to warm the cache")
-		flushOps         = flag.Int("flush-ops", serve.DefaultFlushOps, "journal write-behind batch size (records per file write)")
-		flushInt         = flag.Duration("flush-interval", serve.DefaultFlushInterval, "journal write-behind flush interval for partial batches")
-		inflight         = flag.Int("max-inflight", 4, "max concurrent enumerations; excess misses get 429 + Retry-After")
-		maxBeh           = flag.Int("max-behaviors", 1<<20, "server-side cap on per-request MaxBehaviors")
-		timeout          = flag.Duration("timeout", 30*time.Second, "server-side cap on per-request enumeration wall clock")
-		workers          = flag.Int("workers", 1, "engine width per enumeration (1 = sequential; keeps budget-stopped responses deterministic and cacheable)")
-		prune            = flag.String("prune", cli.PruneAll, "search-pruning layers: comma-separated subset of closure,prefix,symmetry; all; off")
-		cow              = flag.String("cow", "on", "copy-on-write closure sharing: on or off (deep-copy forks)")
-		dedupMem         = flag.String("dedup-mem", "off", "seen-set memory budget (bytes; k/m/g suffix) — overflow spills to disk; off = unbounded in-memory")
-		frontierResident = flag.String("frontier-resident", "auto", "resident frontier budget per enumeration (bytes; k/m/g suffix); auto sizes from the node ceiling; off = keep everything resident")
+		addr     = flag.String("addr", "127.0.0.1:7090", "listen address for the service endpoints")
+		cacheMem = flag.String("cache-mem", "64m", "memo-cache byte budget (k/m/g suffix; off = unbounded) — LRU eviction keeps resident bodies under it")
+		store    = flag.String("store", "", "persist the cache to this NDJSON journal (write-behind, batched); replayed on restart to warm the cache")
+		flushOps = flag.Int("flush-ops", serve.DefaultFlushOps, "journal write-behind batch size (records per file write)")
+		flushInt = flag.Duration("flush-interval", serve.DefaultFlushInterval, "journal write-behind flush interval for partial batches")
+		inflight = flag.Int("max-inflight", 4, "max concurrent enumerations; excess misses get 429 + Retry-After")
+		maxBeh   = flag.Int("max-behaviors", 1<<20, "server-side cap on per-request MaxBehaviors")
+		timeout  = flag.Duration("timeout", 30*time.Second, "server-side cap on per-request enumeration wall clock")
+		workers  = flag.Int("workers", 1, "engine width per enumeration (1 = sequential; keeps budget-stopped responses deterministic and cacheable)")
 	)
 	var tel cli.Telemetry
+	engine := cli.RegisterEngineFlags("each enumeration", true)
 	tel.RegisterFlags()
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -76,10 +73,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	fail(cli.ApplyPrune(&opts, *prune))
-	fail(cli.ApplyCOW(&opts, *cow))
-	fail(cli.ApplyDedupMem(&opts, *dedupMem))
-	fail(cli.ApplyFrontierResident(&opts, *frontierResident))
+	fail(engine.Apply(&opts))
 	opts.Metrics = tel.Enum()
 	cacheBytes, err := cli.ParseBytes("-cache-mem", *cacheMem)
 	fail(err)

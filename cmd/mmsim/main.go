@@ -28,17 +28,15 @@ import (
 
 func main() {
 	var (
-		model            = flag.String("model", "Relaxed", "reordering policy for both machine and model")
-		seeds            = flag.Int("seeds", 1000, "number of seeded runs")
-		window           = flag.Int("window", 8, "issue window size per core (1 = in-order)")
-		tso              = flag.Bool("tso", false, "use the in-order store-buffer machine (checks against the TSO model; -model/-window ignored)")
-		timeout          = flag.Duration("timeout", 0, "wall-clock budget; stop the sweep early with partial counts")
-		faults           = flag.String("faults", "", "inject coherence bus faults (\"on\" or delay=P,reorder=P,retry=P,stall=N,retries=N,seed=N)")
-		cow              = flag.String("cow", "on", "copy-on-write closure sharing in the model enumeration: on or off (deep-copy forks)")
-		dedupMem         = flag.String("dedup-mem", "off", "model-enumeration seen-set memory budget (bytes; k/m/g suffix) — overflow spills to disk; off = unbounded in-memory")
-		frontierResident = flag.String("frontier-resident", "auto", "model-enumeration resident frontier budget (bytes; k/m/g suffix); auto sizes from the node ceiling; off = keep everything resident")
+		model   = flag.String("model", "Relaxed", "reordering policy for both machine and model")
+		seeds   = flag.Int("seeds", 1000, "number of seeded runs")
+		window  = flag.Int("window", 8, "issue window size per core (1 = in-order)")
+		tso     = flag.Bool("tso", false, "use the in-order store-buffer machine (checks against the TSO model; -model/-window ignored)")
+		timeout = flag.Duration("timeout", 0, "wall-clock budget; stop the sweep early with partial counts")
+		faults  = flag.String("faults", "", "inject coherence bus faults (\"on\" or delay=P,reorder=P,retry=P,stall=N,retries=N,seed=N)")
 	)
 	var tel cli.Telemetry
+	engine := cli.RegisterEngineFlags("the model enumeration", false)
 	tel.RegisterFlags()
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -78,15 +76,7 @@ func main() {
 	defer tel.Close()
 
 	opts := core.Options{Metrics: tel.Enum(), Tracer: tel.Tracer(), Journal: tel.Journal()}
-	if err := cli.ApplyCOW(&opts, *cow); err != nil {
-		fmt.Fprintf(os.Stderr, "mmsim: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cli.ApplyDedupMem(&opts, *dedupMem); err != nil {
-		fmt.Fprintf(os.Stderr, "mmsim: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cli.ApplyFrontierResident(&opts, *frontierResident); err != nil {
+	if err := engine.Apply(&opts); err != nil {
 		fmt.Fprintf(os.Stderr, "mmsim: %v\n", err)
 		os.Exit(2)
 	}

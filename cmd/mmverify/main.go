@@ -44,16 +44,14 @@ func policyByName(name string) order.Policy {
 
 func main() {
 	var (
-		model            = flag.String("model", "TSO", "model to check against (SC, TSO, NaiveTSO, PSO, Relaxed)")
-		rules            = flag.String("rules", "abc", "Store Atomicity rule subset: ab (TSOtool-equivalent) or abc (complete)")
-		demo             = flag.Bool("demo", false, "check built-in demonstration records")
-		example          = flag.Bool("example", false, "print an example record JSON and exit")
-		timeout          = flag.Duration("timeout", 0, "wall-clock budget for the -demo enumeration")
-		cow              = flag.String("cow", "on", "copy-on-write closure sharing in the -demo enumeration: on or off (deep-copy forks)")
-		dedupMem         = flag.String("dedup-mem", "off", "-demo seen-set memory budget (bytes; k/m/g suffix) — overflow spills to disk; off = unbounded in-memory")
-		frontierResident = flag.String("frontier-resident", "auto", "-demo resident frontier budget (bytes; k/m/g suffix); auto sizes from the node ceiling; off = keep everything resident")
+		model   = flag.String("model", "TSO", "model to check against (SC, TSO, NaiveTSO, PSO, Relaxed)")
+		rules   = flag.String("rules", "abc", "Store Atomicity rule subset: ab (TSOtool-equivalent) or abc (complete)")
+		demo    = flag.Bool("demo", false, "check built-in demonstration records")
+		example = flag.Bool("example", false, "print an example record JSON and exit")
+		timeout = flag.Duration("timeout", 0, "wall-clock budget for the -demo enumeration")
 	)
 	var tel cli.Telemetry
+	engine := cli.RegisterEngineFlags("the -demo enumeration", false)
 	tel.RegisterFlags()
 	flag.Parse()
 
@@ -92,15 +90,7 @@ func main() {
 
 	if *demo {
 		var demoOpts core.Options
-		if err := cli.ApplyCOW(&demoOpts, *cow); err != nil {
-			fmt.Fprintf(os.Stderr, "mmverify: %v\n", err)
-			os.Exit(2)
-		}
-		if err := cli.ApplyDedupMem(&demoOpts, *dedupMem); err != nil {
-			fmt.Fprintf(os.Stderr, "mmverify: %v\n", err)
-			os.Exit(2)
-		}
-		if err := cli.ApplyFrontierResident(&demoOpts, *frontierResident); err != nil {
+		if err := engine.Apply(&demoOpts); err != nil {
 			fmt.Fprintf(os.Stderr, "mmverify: %v\n", err)
 			os.Exit(2)
 		}

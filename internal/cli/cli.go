@@ -8,6 +8,7 @@ package cli
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -183,6 +184,55 @@ func ApplyFrontierResident(opts *core.Options, spec string) error {
 	}
 	opts.FrontierResidentBytes = n
 	return nil
+}
+
+// EngineFlags holds the four engine knobs in their flag grammars: -prune
+// (ApplyPrune), -cow (ApplyCOW), -dedup-mem (ApplyDedupMem) and
+// -frontier-resident (ApplyFrontierResident). RegisterEngineFlags is the
+// one registration every tool uses; dist.JobSpec carries the same strings
+// to workers and applies them through Apply.
+type EngineFlags struct {
+	Prune, COW, DedupMem, FrontierResident string
+	// noPrune marks a tool without -prune: Apply then leaves the pruning
+	// options at their zero values instead of parsing an empty spec as
+	// "off".
+	noPrune bool
+}
+
+// RegisterEngineFlags registers the engine flags on the default flag set
+// with their canonical names and defaults. scope, when non-empty, names
+// what the flags configure in the help text (for example "the -verify
+// oracle"); withPrune also registers -prune, which tools without a
+// pruning A/B story omit.
+func RegisterEngineFlags(scope string, withPrune bool) *EngineFlags {
+	f := &EngineFlags{noPrune: !withPrune}
+	of := ""
+	if scope != "" {
+		of = " for " + scope
+	}
+	if withPrune {
+		flag.StringVar(&f.Prune, "prune", PruneAll, "search-pruning layers"+of+": comma-separated subset of closure,prefix,symmetry; all; off")
+	}
+	flag.StringVar(&f.COW, "cow", "on", "copy-on-write closure sharing"+of+": on or off (deep-copy forks)")
+	flag.StringVar(&f.DedupMem, "dedup-mem", "off", "seen-set memory budget"+of+" (bytes; k/m/g suffix) — overflow spills to disk; off = unbounded in-memory")
+	flag.StringVar(&f.FrontierResident, "frontier-resident", "auto", "resident frontier budget"+of+" (bytes; k/m/g suffix) — overflow demotes to compressed replay paths; auto sizes from the node ceiling; off = keep everything resident")
+	return f
+}
+
+// Apply parses every flag into opts, stopping at the first bad spec.
+func (f *EngineFlags) Apply(opts *core.Options) error {
+	if !f.noPrune {
+		if err := ApplyPrune(opts, f.Prune); err != nil {
+			return err
+		}
+	}
+	if err := ApplyCOW(opts, f.COW); err != nil {
+		return err
+	}
+	if err := ApplyDedupMem(opts, f.DedupMem); err != nil {
+		return err
+	}
+	return ApplyFrontierResident(opts, f.FrontierResident)
 }
 
 // ParseFaults parses the -faults flag grammar into a coherence fault

@@ -8,32 +8,32 @@ import (
 	"testing"
 )
 
-// The flag audit: every binary must register the shared flags with the
-// canonical name, default, and helper, and must not grow (or lose)
-// engine flags without this matrix saying so. The check reads the
-// cmd/*/main.go sources, because what we are pinning is the
-// registration itself — a drifted default or a hand-rolled parser would
-// still pass any behavioral test that only exercises the happy path.
+// The flag audit: every binary registers the engine flags through the one
+// helper (RegisterEngineFlags) or not at all, and must not grow (or lose)
+// them without this matrix saying so. The check reads the cmd/*/main.go
+// sources, because what we are pinning is the registration itself — a
+// hand-rolled flag would still pass any behavioral test that only
+// exercises the happy path.
 
-// engineFlags says which of the four engine knobs each binary exposes.
-// Binaries that enumerate locally take all four; binaries that only
-// replay or embed a single enumeration (mmlitmus, mmrace, mmsim,
-// mmverify) have no pruning A/B story but still honor -cow/-dedup-mem/
-// -frontier-resident; mmworker inherits its options from the
-// coordinator's job and mmobs never enumerates at all.
-var engineFlags = map[string]struct{ prune, cow, dedupMem, frontierResident bool }{
-	"mmbench":  {true, true, true, true},
-	"mmcoord":  {true, true, true, true},
-	"mmenum":   {true, true, true, true},
-	"mmfuzz":   {true, true, true, true},
-	"mmload":   {true, true, true, true},
-	"mmserve":  {true, true, true, true},
-	"mmlitmus": {false, true, true, true},
-	"mmrace":   {false, true, true, true},
-	"mmsim":    {false, true, true, true},
-	"mmverify": {false, true, true, true},
-	"mmworker": {false, false, false, false},
-	"mmobs":    {false, false, false, false},
+// engineFlags says which binaries register the engine flags, and whether
+// with -prune. Binaries that enumerate locally take all four; binaries
+// that only replay or embed a single enumeration (mmlitmus, mmrace,
+// mmsim, mmverify) have no pruning A/B story but still honor -cow,
+// -dedup-mem and -frontier-resident; mmworker inherits its options from
+// the coordinator's job and mmobs never enumerates at all.
+var engineFlags = map[string]struct{ registers, prune bool }{
+	"mmbench":  {true, true},
+	"mmcoord":  {true, true},
+	"mmenum":   {true, true},
+	"mmfuzz":   {true, true},
+	"mmload":   {true, true},
+	"mmserve":  {true, true},
+	"mmlitmus": {true, false},
+	"mmrace":   {true, false},
+	"mmsim":    {true, false},
+	"mmverify": {true, false},
+	"mmworker": {false, false},
+	"mmobs":    {false, false},
 }
 
 // noTelemetry lists binaries allowed to skip tel.RegisterFlags (and so
@@ -41,28 +41,13 @@ var engineFlags = map[string]struct{ prune, cow, dedupMem, frontierResident bool
 // instead of emitting its own.
 var noTelemetry = map[string]bool{"mmobs": true}
 
-// The canonical registrations. Pinning the default in the pattern means
-// a binary cannot quietly ship -prune defaulting to "off" or a -cow
-// that defaults to deep copies.
 var (
-	pruneReg            = regexp.MustCompile(`flag\.String\("prune",\s*cli\.PruneAll,`)
-	cowReg              = regexp.MustCompile(`flag\.String\("cow",\s*"on",`)
-	dedupMemReg         = regexp.MustCompile(`flag\.String\("dedup-mem",\s*"off",`)
-	frontierResidentReg = regexp.MustCompile(`flag\.String\("frontier-resident",\s*"auto",`)
-	telReg              = regexp.MustCompile(`\btel\.RegisterFlags\(\)`)
-
-	// A flag is "applied" when it reaches the shared helper — either
-	// directly, or (mmcoord) forwarded verbatim in a dist Job, whose
-	// receiver runs the same cli.Apply* on the worker side.
-	pruneApply            = regexp.MustCompile(`cli\.ApplyPrune\(|Prune:\s*\*prune\b`)
-	cowApply              = regexp.MustCompile(`cli\.ApplyCOW\(|COW:\s*\*cow\b`)
-	dedupMemApply         = regexp.MustCompile(`cli\.ApplyDedupMem\(|DedupMem:\s*\*dedupMem\b`)
-	frontierResidentApply = regexp.MustCompile(`cli\.ApplyFrontierResident\(|FrontierResident:\s*\*frontierResident\b`)
-
-	anyPrune            = regexp.MustCompile(`flag\.\w+\("prune"`)
-	anyCow              = regexp.MustCompile(`flag\.\w+\("cow"`)
-	anyDedupMem         = regexp.MustCompile(`flag\.\w+\("dedup-mem"`)
-	anyFrontierResident = regexp.MustCompile(`flag\.\w+\("frontier-resident"`)
+	helperReg = regexp.MustCompile(`cli\.RegisterEngineFlags\("[^"]*", (true|false)\)`)
+	// A registered set is used when it reaches Apply — directly, or
+	// (mmcoord) forwarded in a dist job whose receiver applies it.
+	helperUse = regexp.MustCompile(`\.Apply\(&|FrontierResident:\s*\w+\.FrontierResident`)
+	byHand    = regexp.MustCompile(`flag\.\w+\("(prune|cow|dedup-mem|frontier-resident)"`)
+	telReg    = regexp.MustCompile(`\btel\.RegisterFlags\(\)`)
 )
 
 func TestFlagMatrix(t *testing.T) {
@@ -109,33 +94,29 @@ func TestFlagMatrix(t *testing.T) {
 			t.Errorf("%s: %v", tool, err)
 			continue
 		}
-		check := func(name string, want bool, reg, apply, any *regexp.Regexp) {
-			has := any.Match(src)
-			if has != want {
-				t.Errorf("%s: -%s registered=%v, matrix says %v", tool, name, has, want)
-				return
-			}
-			if !want {
-				return
-			}
-			if !reg.Match(src) {
-				t.Errorf("%s: -%s is registered but not with the canonical name/default", tool, name)
-			}
-			if !apply.Match(src) {
-				t.Errorf("%s: -%s is registered but never fed through the shared cli.Apply helper", tool, name)
-			}
-		}
-		check("prune", want.prune, pruneReg, pruneApply, anyPrune)
-		check("cow", want.cow, cowReg, cowApply, anyCow)
-		check("dedup-mem", want.dedupMem, dedupMemReg, dedupMemApply, anyDedupMem)
-		check("frontier-resident", want.frontierResident, frontierResidentReg, frontierResidentApply, anyFrontierResident)
-
 		if telReg.Match(src) == noTelemetry[tool] {
 			if noTelemetry[tool] {
 				t.Errorf("%s: now calls tel.RegisterFlags() — drop it from the noTelemetry exemption", tool)
 			} else {
 				t.Errorf("%s: missing tel.RegisterFlags() — every emitting binary exposes -metrics-addr and friends", tool)
 			}
+		}
+		if byHand.Match(src) {
+			t.Errorf("%s: registers an engine flag by hand — use cli.RegisterEngineFlags", tool)
+		}
+		m := helperReg.FindSubmatch(src)
+		if (m != nil) != want.registers {
+			t.Errorf("%s: calls cli.RegisterEngineFlags=%v, matrix says %v", tool, m != nil, want.registers)
+			continue
+		}
+		if m == nil {
+			continue
+		}
+		if prune := string(m[1]) == "true"; prune != want.prune {
+			t.Errorf("%s: -prune registered=%v, matrix says %v", tool, prune, want.prune)
+		}
+		if !helperUse.Match(src) {
+			t.Errorf("%s: registers the engine flags but never applies them", tool)
 		}
 	}
 }

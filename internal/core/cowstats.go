@@ -24,7 +24,7 @@ func (c *cowFams) add(g *graph.Graph) {
 }
 
 // merge folds another collector's families into this one, pointer-
-// deduplicated. The parallel engine gives each worker a private collector
+// deduplicated. The engine gives each worker a private collector
 // (add is not safe for concurrent use — frontier revivals create families
 // on worker goroutines) and merges them after the workers join.
 func (c *cowFams) merge(o *cowFams) {

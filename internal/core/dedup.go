@@ -1,6 +1,14 @@
 package core
 
-import "storeatomicity/internal/telemetry"
+import (
+	"cmp"
+	"slices"
+	"strings"
+	"sync"
+
+	"storeatomicity/internal/obslog"
+	"storeatomicity/internal/telemetry"
+)
 
 // Load–Store-graph dedup keys (Section 4.1). The enumeration engine keys
 // behaviors by a 64-bit FNV-1a fingerprint of the canonical Load–Store
@@ -43,57 +51,173 @@ func fingerprintNodes(nodes []Node) uint64 {
 	return h
 }
 
-// keySet is the sequential engine's dedup set. In the default
-// configuration it holds fingerprints — in an unbounded map, or in a
-// RAM-bounded spillStore when Options.DedupMemBudget is set; with
-// Options.dedupString it holds the string signatures (the property-test
-// baseline); under the dedupcheck build tag a signature guard
-// cross-checks fingerprints and a collision is counted and treated as a
-// distinct key (both behaviors are explored).
-type keySet struct {
+// shardedSet is the engine's Load–Store-graph key set: the seen-set, and
+// (recording executions) the completed-behavior set. It is split into a
+// power of two of shards, each under its own mutex, so workers rarely
+// contend: one shard at width 1, dedupShards above. Keys are fingerprints
+// — in an unbounded map, or in a per-shard RAM-bounded spillStore when a
+// spill budget is set; with Options.dedupString they are the string
+// signatures instead (the property-test oracle); under the dedupcheck build
+// tag a signature guard cross-checks fingerprints and a collision is
+// counted and treated as a distinct key (both behaviors are kept).
+// Signature-keyed sets still pick the shard by fingerprint, which is a
+// function of the signature.
+type shardedSet struct {
+	shards    []keyShard
+	one       [1]keyShard // backs shards at width 1: no allocation per run
+	mask      uint64
 	useString bool
-	hashes    map[uint64]struct{}
-	strs      map[string]struct{}
-	guard     map[uint64]string
-	coll      *telemetry.Counter
-	spill     *spillStore
+	budget    int64 // per-shard spill budget; 0 keeps in-memory maps
+	met       *telemetry.EnumMetrics
+	journal   *obslog.Journal
+	coll      *telemetry.Counter // collision counter (nil-safe)
 }
 
-func newKeySet(opts Options) *keySet {
-	k := &keySet{useString: opts.dedupString}
-	if opts.Metrics != nil {
-		k.coll = opts.Metrics.Collisions
+// keyShard is one shard; execs holds the executions recorded into it.
+type keyShard struct {
+	mu    sync.Mutex
+	seen  map[uint64]struct{}
+	strs  map[string]struct{}
+	spill *spillStore
+	guard map[uint64]string
+	execs []recorded
+}
+
+// recorded is an execution with the fingerprint it was recorded under.
+type recorded struct {
+	h uint64
+	x *Execution
+}
+
+// dedupShards is the shard count above width 1; 64 keeps lock contention
+// negligible at any realistic worker count.
+const dedupShards = 64
+
+// init sizes the set for an engine of the given width. A positive budget
+// is split evenly across the shards' spill stores.
+func (k *shardedSet) init(workers int, opts Options, budget int64) {
+	k.shards = k.one[:]
+	if workers > 1 {
+		k.shards = make([]keyShard, dedupShards)
+	}
+	n := int64(len(k.shards))
+	k.mask = uint64(n - 1)
+	k.useString, k.met, k.journal = opts.dedupString, opts.Metrics, opts.Journal
+	if k.met != nil {
+		k.coll = k.met.Collisions
+	}
+	if budget > 0 && !k.useString {
+		k.budget = max(budget/n, 1)
+	}
+}
+
+// lock returns h's shard, locked and initialized; the caller unlocks it.
+func (k *shardedSet) lock(h uint64) *keyShard {
+	sh := &k.shards[h&k.mask]
+	sh.mu.Lock()
+	switch {
+	case sh.seen != nil || sh.strs != nil || sh.spill != nil:
+	case k.useString:
+		sh.strs = map[string]struct{}{}
+	case k.budget > 0:
+		sh.spill = newSpillStore(k.budget, k.met, k.journal)
+	default:
+		sh.seen = map[uint64]struct{}{}
+	}
+	if dedupCollisionCheck && sh.guard == nil && !k.useString {
+		sh.guard = map[uint64]string{}
+	}
+	return sh
+}
+
+// insert adds a key pair, reporting whether it was new. sig may be empty
+// unless the set is signature-keyed or collision-checked.
+func (k *shardedSet) insert(h uint64, sig string) bool {
+	sh := k.lock(h)
+	defer sh.mu.Unlock()
+	return k.insertLocked(sh, h, sig)
+}
+
+func (k *shardedSet) insertLocked(sh *keyShard, h uint64, sig string) bool {
+	if k.useString {
+		if _, dup := sh.strs[sig]; dup {
+			return false
+		}
+		sh.strs[sig] = struct{}{}
+		return true
+	}
+	if sh.guard != nil && checkCollision(sh.guard, h, sig, k.coll) {
+		// Two distinct signatures behind one fingerprint: treat the
+		// newcomer as unseen so both behaviors are kept (merging them
+		// would silently drop one).
+		return true
+	}
+	if sh.spill != nil {
+		return sh.spill.insert(h)
+	}
+	if _, dup := sh.seen[h]; dup {
+		return false
+	}
+	sh.seen[h] = struct{}{}
+	return true
+}
+
+// has is the lookup half of insert: present-and-matching keys report
+// true, everything else (including a dedupcheck fingerprint collision,
+// which insert treats as a distinct key) reports false — the sound
+// direction, since an "absent" answer only re-records a behavior that
+// record then drops.
+func (k *shardedSet) has(h uint64, sig string) bool {
+	sh := k.lock(h)
+	defer sh.mu.Unlock()
+	if k.useString {
+		_, dup := sh.strs[sig]
+		return dup
+	}
+	if prev, ok := sh.guard[h]; ok && prev != sig {
+		return false
+	}
+	if sh.spill != nil {
+		return sh.spill.contains(h)
+	}
+	_, dup := sh.seen[h]
+	return dup
+}
+
+// stateKey is a completed state's plain (unsymmetrized) key pair.
+func (k *shardedSet) stateKey(s *state) (uint64, string) {
+	var sig string
+	if k.useString || dedupCollisionCheck {
+		sig = s.signature()
+	}
+	return s.fingerprint(), sig
+}
+
+// record adds a completed behavior, reporting whether it was new. A new
+// state's buffers escape into its Execution (do not pool it).
+func (k *shardedSet) record(s *state) bool {
+	h, sig := k.stateKey(s)
+	sh := k.lock(h)
+	defer sh.mu.Unlock()
+	if !k.insertLocked(sh, h, sig) {
+		return false
+	}
+	sh.execs = append(sh.execs, recorded{h, s.finish()})
+	return true
+}
+
+// sameKey reports whether a freshly computed key equals the key a state
+// was inserted under at fork time — the self-skip: a fork-time-inserted
+// state whose key is unchanged post-quiescence must not be discarded as a
+// duplicate of itself.
+func (k *shardedSet) sameKey(s *state, h uint64, sig string) bool {
+	if !s.seenKeyed {
+		return false
 	}
 	if k.useString {
-		k.strs = map[string]struct{}{}
-	} else {
-		if opts.DedupMemBudget > 0 {
-			k.spill = newSpillStore(opts.DedupMemBudget, opts.Metrics, opts.Journal)
-		} else {
-			k.hashes = map[uint64]struct{}{}
-		}
-		if dedupCollisionCheck {
-			k.guard = map[uint64]string{}
-		}
+		return sig == s.seenSig
 	}
-	return k
-}
-
-// release frees any disk-backed tier (nil-safe; no-op for in-memory
-// sets).
-func (k *keySet) release() {
-	if k != nil && k.spill != nil {
-		k.spill.release()
-	}
-}
-
-// degradations reports why the spill tier (if any) fell back to
-// one-sided operation; nil for in-memory sets and healthy spills.
-func (k *keySet) degradations() []string {
-	if k == nil || k.spill == nil {
-		return nil
-	}
-	return k.spill.degraded
+	return h == s.seenH
 }
 
 // seed pre-loads fingerprints observed elsewhere (a distributed peer's
@@ -102,127 +226,106 @@ func (k *keySet) degradations() []string {
 // with spurious collisions. Seeding is a pure pruning hint: a seeded
 // fingerprint's subtree was already fully explored by whoever exported
 // it, so skipping it here cannot lose behaviors.
-func (k *keySet) seed(hs []uint64) {
-	if k == nil || k.useString {
+func (k *shardedSet) seed(hs []uint64) {
+	if k.useString {
 		return
 	}
 	for _, h := range hs {
-		if k.spill != nil {
-			k.spill.insert(h)
-			continue
+		sh := k.lock(h)
+		if sh.spill != nil {
+			sh.spill.insert(h)
+		} else {
+			sh.seen[h] = struct{}{}
 		}
-		k.hashes[h] = struct{}{}
+		sh.mu.Unlock()
 	}
 }
 
-// export returns up to max fingerprints from the set (all of them when
-// max <= 0). A spill-backed set exports only its resident hot tier —
-// the disk runs are exactly the keys too numerous to ship anyway.
-func (k *keySet) export(max int) []uint64 {
-	if k == nil || k.useString {
+// export returns up to max fingerprints (all of them when max <= 0). A
+// spill-backed shard exports only its resident hot tier — the disk runs
+// are exactly the keys too numerous to ship anyway.
+func (k *shardedSet) export(max int) []uint64 {
+	if k.useString {
 		return nil
 	}
-	src := k.hashes
-	if k.spill != nil {
-		src = k.spill.hot
-	}
-	n := len(src)
-	if max > 0 && n > max {
-		n = max
-	}
-	out := make([]uint64, 0, n)
-	for h := range src {
-		if len(out) >= n {
-			break
+	var out []uint64
+	for i := range k.shards {
+		sh := &k.shards[i]
+		sh.mu.Lock()
+		src := sh.seen
+		if sh.spill != nil {
+			src = sh.spill.hot
 		}
-		out = append(out, h)
+		for h := range src {
+			if max > 0 && len(out) >= max {
+				break
+			}
+			out = append(out, h)
+		}
+		sh.mu.Unlock()
 	}
 	return out
 }
 
-// insert adds the state's Load–Store-graph key, reporting whether it was
-// new.
-func (k *keySet) insert(s *state) bool {
-	var sig string
-	if k.useString || k.guard != nil {
-		sig = s.signature()
-	}
-	return k.insertKey(s.fingerprint(), sig)
-}
-
-// insertKey adds a precomputed key pair, reporting whether it was new.
-// The engines use it with state.dedupKey so prefix pruning and symmetry
-// canonicalization share one seen-set with the post-quiescence check;
-// sig may be empty unless the set is string-keyed or collision-checked.
-func (k *keySet) insertKey(h uint64, sig string) bool {
-	if k.useString {
-		if _, dup := k.strs[sig]; dup {
-			return false
+// executions gathers every recorded execution, shard by shard.
+func (k *shardedSet) executions() []*Execution {
+	var out []*Execution
+	for i := range k.shards {
+		sh := &k.shards[i]
+		sh.mu.Lock()
+		for _, r := range sh.execs {
+			out = append(out, r.x)
 		}
-		k.strs[sig] = struct{}{}
-		return true
+		sh.mu.Unlock()
 	}
-	if k.guard != nil && checkCollision(k.guard, h, sig, k.coll) {
-		// Two distinct signatures behind one fingerprint: treat the
-		// newcomer as unseen so both behaviors are explored (merging
-		// them would silently drop one).
-		return true
-	}
-	if k.spill != nil {
-		return k.spill.insert(h)
-	}
-	if _, dup := k.hashes[h]; dup {
-		return false
-	}
-	k.hashes[h] = struct{}{}
-	return true
+	return out
 }
 
-// hasState reports whether the state's Load–Store-graph key is already
-// recorded, without inserting it. The engines use it on a leaf parent's
-// trial state to elide the fork for an already-recorded final behavior.
-func (k *keySet) hasState(s *state) bool {
-	var sig string
-	if k.useString || k.guard != nil {
-		sig = s.signature()
+// sorted returns every recorded execution in the canonical result order:
+// by the fingerprint it was recorded under, with SourceKey breaking ties
+// (which only a fingerprint collision can produce). The order is the same
+// at every width and for every discovery order. Call it once the workers
+// have joined: it gathers into, and sorts, shard 0's slice.
+func (k *shardedSet) sorted() []*Execution {
+	all := k.shards[0].execs
+	for i := 1; i < len(k.shards); i++ {
+		all = append(all, k.shards[i].execs...)
 	}
-	return k.hasKey(s.fingerprint(), sig)
+	slices.SortFunc(all, func(a, b recorded) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
+		}
+		return strings.Compare(a.x.SourceKey(), b.x.SourceKey())
+	})
+	out := make([]*Execution, len(all))
+	for i, r := range all {
+		out[i] = r.x
+	}
+	return out
 }
 
-// hasKey is the lookup half of insertKey: present-and-matching keys
-// report true, everything else (including a dedupcheck fingerprint
-// collision, which insertKey would treat as a distinct key) reports
-// false — the sound direction, since an "absent" answer only re-records
-// a behavior the set-level dedup then drops.
-func (k *keySet) hasKey(h uint64, sig string) bool {
-	if k.useString {
-		_, dup := k.strs[sig]
-		return dup
+// degradations collects why any shard's spill tier fell back to one-sided
+// operation; nil for in-memory sets and healthy spills.
+func (k *shardedSet) degradations() []string {
+	var out []string
+	for i := range k.shards {
+		sh := &k.shards[i]
+		sh.mu.Lock()
+		if sh.spill != nil {
+			out = append(out, sh.spill.degraded...)
+		}
+		sh.mu.Unlock()
 	}
-	if k.guard != nil {
-		if prev, ok := k.guard[h]; ok && prev != sig {
-			return false
+	return out
+}
+
+// release frees every shard's disk-backed tier.
+func (k *shardedSet) release() {
+	for i := range k.shards {
+		if sp := k.shards[i].spill; sp != nil {
+			sp.release()
 		}
 	}
-	if k.spill != nil {
-		return k.spill.contains(h)
-	}
-	_, dup := k.hashes[h]
-	return dup
-}
-
-// keyMatches reports whether a freshly computed key equals the key this
-// state was inserted under at fork time — the engines' self-skip: a
-// fork-time-inserted state whose key is unchanged post-quiescence must
-// not be discarded as a duplicate of itself.
-func (k *keySet) keyMatches(s *state, h uint64, sig string) bool {
-	if !s.seenKeyed {
-		return false
-	}
-	if k.useString {
-		return sig == s.seenSig
-	}
-	return h == s.seenH
 }
 
 // checkCollision reports whether sig is a *different* signature than one

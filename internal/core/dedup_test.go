@@ -24,8 +24,9 @@ func sourceKeySet(r *Result) map[string]bool {
 // TestHashedDedupMatchesStringBaseline: property test over the randprog
 // corpus — dedup keyed by the 64-bit Load–Store-graph fingerprint must
 // produce exactly the same execution set as dedup keyed by the full
-// string signature, under every model, and the DisableDedup ablation
-// must agree too (it explores more states but emits the same set).
+// string signature, under every model and at widths 1 and 2, and the
+// DisableDedup ablation must agree too (it explores more states but
+// emits the same set).
 func TestHashedDedupMatchesStringBaseline(t *testing.T) {
 	models := []order.Policy{order.SC(), order.TSO(), order.PSO(), order.Relaxed()}
 	for seed := int64(0); seed < 40; seed++ {
@@ -43,10 +44,15 @@ func TestHashedDedupMatchesStringBaseline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s nodedup: %v", seed, pol.Name(), err)
 			}
+			// Width 2: the sharded sets keep both key encodings too.
+			wide, err := EnumerateParallel(context.Background(), p, pol, Options{dedupString: true}, 2)
+			if err != nil {
+				t.Fatalf("seed %d %s string width 2: %v", seed, pol.Name(), err)
+			}
 
 			want := sourceKeySet(baseline)
 			for name, got := range map[string]map[string]bool{
-				"hashed": sourceKeySet(hashed), "nodedup": sourceKeySet(ablated),
+				"hashed": sourceKeySet(hashed), "nodedup": sourceKeySet(ablated), "string width 2": sourceKeySet(wide),
 			} {
 				if len(got) != len(want) {
 					t.Fatalf("seed %d %s: %s found %d executions, string baseline %d\nprogram:\n%s",

@@ -28,7 +28,7 @@ import (
 // runs are compacted into one with a loser-tree k-way merge, keeping
 // per-lookup run probes bounded.
 //
-// Spilling is invisible to the search: the engines ask exactly the same
+// Spilling is invisible to the search: the engine asks exactly the same
 // question (was this fingerprint seen?) and get exactly the same answers,
 // so the behavior set is bit-identical to an unbounded run. Degradation
 // is deliberately one-sided. A flush failure marks the store broken and
@@ -60,7 +60,7 @@ type spillRun struct {
 }
 
 // spillStore is the tiered fingerprint set described above. It is not
-// safe for concurrent use; the parallel engine gives each dedup shard
+// safe for concurrent use; the engine gives each dedup shard
 // its own store under the existing shard mutex.
 type spillStore struct {
 	hotCap int

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"runtime/debug"
 	"time"
 
 	"storeatomicity/internal/obslog"
@@ -45,7 +43,7 @@ type Options struct {
 	// hatch and equivalence baseline; the behavior set is bit-identical
 	// either way, at any worker count.
 	DisableCOW bool
-	// DedupMemBudget caps the resident bytes of the engines' seen-sets —
+	// DedupMemBudget caps the resident bytes of the engine's seen-set —
 	// the one structure that grows with the number of distinct states
 	// rather than with the program. 0 (the default) keeps the classic
 	// unbounded in-memory maps. A positive budget switches the seen-set
@@ -53,11 +51,12 @@ type Options struct {
 	// overflow spilled to sorted fingerprint runs in temp files that
 	// lookups binary-search through a sparse index (see dedupspill.go).
 	// The behavior set is bit-identical to an unbounded run at any
-	// worker count; only where fingerprints live changes. Ignored for
-	// the string-keyed test baseline.
+	// worker count; only where fingerprints live changes. Above width 1
+	// each of the seen-set's shards gets an even share. Ignored for the
+	// string-keyed test baseline.
 	DedupMemBudget int64
 	// FrontierResidentBytes caps the bytes of fully materialized states
-	// parked on the engines' work queues. Beyond the budget, the oldest
+	// parked on the engine's work queues. Beyond the budget, the oldest
 	// queued states are demoted to delta-compressed replay paths (the
 	// checkpoint pathBlock codec) and their graphs and arenas recycled
 	// immediately; a demoted state is re-materialized by deterministic
@@ -66,8 +65,7 @@ type Options struct {
 	// bit-identical at any worker count — demotion/revival preserves the
 	// exact exploration order. 0 (the default) never demotes; a negative
 	// value picks an automatic budget (~1024 resident states at the
-	// MaxNodes ceiling); the parallel engine splits the budget evenly
-	// across workers. Composes with DedupMemBudget: together they bound
+	// MaxNodes ceiling); the budget is split evenly across the workers. Composes with DedupMemBudget: together they bound
 	// the two structures that grow with the search rather than with the
 	// program.
 	FrontierResidentBytes int64
@@ -126,10 +124,10 @@ type Options struct {
 	// coordinator so later shards skip already-explored subtrees.
 	ExportSeen int
 
-	// dedupString keys the dedup sets by the full string signature
-	// instead of the 64-bit fingerprint. It is the property-test
-	// baseline for the hashed dedup path and is intentionally
-	// unexported: the fingerprint is the production key.
+	// dedupString keys the seen and final sets by the full string
+	// signature instead of the 64-bit fingerprint, at any width. It is the
+	// property-test baseline for the hashed dedup path and is
+	// intentionally unexported: the fingerprint is the production key.
 	dedupString bool
 }
 
@@ -146,12 +144,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats counts enumeration work. Both engines populate every field the
-// same way — a sequential run is simply Workers == 1 with Steals == 0 —
-// so callers never branch on which engine produced a Result.
+// Stats counts enumeration work. One engine fills every field at every
+// width; a width-1 run has Steals == 0 and, like its exploration order,
+// counters that repeat exactly from run to run.
 type Stats struct {
-	// StatesExplored counts behaviors removed from the work set. Both
-	// engines stop a budgeted run after exactly MaxBehaviors states.
+	// StatesExplored counts behaviors removed from the work set. A
+	// budgeted run stops after exactly MaxBehaviors states.
 	StatesExplored int
 	// Forks counts child states materialized and queued. With the
 	// trial-apply engine (COW on) a (load, candidate) resolution that is
@@ -171,7 +169,8 @@ type Stats struct {
 	TrialRollbacks int
 	// FrontierDemoted counts queued states demoted to compressed replay
 	// paths under Options.FrontierResidentBytes; FrontierResidentPeak is
-	// the high-water mark of resident frontier bytes.
+	// the high-water mark of resident frontier bytes (exact at width 1,
+	// the sum of per-worker peaks above).
 	FrontierDemoted      int
 	FrontierResidentPeak int64
 	// DuplicatesDiscarded counts behaviors dropped by the
@@ -189,7 +188,7 @@ type Stats struct {
 	// only under speculation.
 	Rollbacks int
 	// Steals counts work items taken from another worker's deque —
-	// always zero for the sequential engine (Workers == 1).
+	// always zero at Workers == 1.
 	Steals int
 	// PoolHits counts forks served from a recycled state; PoolMisses
 	// counts forks that allocated fresh. Hits/(Hits+Misses) is the
@@ -205,8 +204,7 @@ type Stats struct {
 	// win: with -cow=off both are zero and every fork copies every row.
 	CowRowsShared int64
 	CowRowsCopied int64
-	// Workers records the engine width that produced this result (1
-	// for the sequential engine).
+	// Workers records the engine width that produced this result.
 	Workers int
 	// SpillDegraded lists why the RAM-bounded dedup spill store (if
 	// enabled) fell back to one-sided operation — flush, compact, or
@@ -217,9 +215,11 @@ type Stats struct {
 }
 
 // Result is the set of distinct final executions of a program under a
-// model, plus work statistics. A gracefully stopped run (cancellation,
-// deadline, budget, worker panic) sets Incomplete and still carries every
-// execution found before the stop.
+// model, plus work statistics. Executions come in one canonical order
+// (by fingerprint, then SourceKey) whatever the width or discovery order.
+// A gracefully stopped run (cancellation, deadline, budget, worker panic)
+// sets Incomplete and still carries every execution found before the
+// stop.
 type Result struct {
 	Model      string
 	Executions []*Execution
@@ -282,20 +282,22 @@ type resumeSeed struct {
 // with Store Atomicity, per the procedure of Section 4.1: repeat graph
 // generation and dataflow execution to fixpoint, then fork one behavior
 // per (eligible load, candidate store) choice, deduplicating by Load–Store
-// graph; completed behaviors are collected.
+// graph; completed behaviors are collected. It is the engine at width 1
+// (see EnumerateParallel): one worker on the calling goroutine, with a
+// deterministic exploration order.
 //
 // Cancellation and deadlines on ctx stop the run cleanly; like every
 // other stopping condition (MaxBehaviors, MaxNodes, a panic inside the
 // engine or a hook) they return the behaviors found so far with
 // Result.Incomplete set and an *IncompleteError.
 func Enumerate(ctx context.Context, p *program.Program, pol order.Policy, opts Options) (*Result, error) {
-	return enumerateFrom(ctx, p, pol, opts, nil)
+	return enumerateParallelFrom(ctx, p, pol, opts, 1, nil)
 }
 
 // Resume continues an enumeration from a checkpoint: completed paths are
 // replayed into the final set, frontier paths back onto the work list,
-// and the engine (sequential for workers == 1, work-stealing otherwise)
-// picks up where the checkpointed run stopped. The final behavior set of
+// and the engine, at the given width, picks up where the checkpointed run
+// stopped. The final behavior set of
 // an interrupted-then-resumed run is identical to an uninterrupted run's.
 func Resume(ctx context.Context, p *program.Program, pol order.Policy, opts Options, c *Checkpoint, workers int) (*Result, error) {
 	opts = opts.withDefaults()
@@ -316,9 +318,6 @@ func Resume(ctx context.Context, p *program.Program, pol order.Policy, opts Opti
 			return nil, err
 		}
 		seed.work = append(seed.work, s)
-	}
-	if workers == 1 {
-		return enumerateFrom(ctx, p, pol, opts, seed)
 	}
 	return enumerateParallelFrom(ctx, p, pol, opts, workers, seed)
 }
@@ -381,434 +380,6 @@ func saveTimed(cfg *CheckpointConfig, c *Checkpoint, opts Options) {
 	if err != nil && cfg.OnError != nil {
 		cfg.OnError(err)
 	}
-}
-
-// enumerateFrom is the sequential engine, optionally seeded from a
-// checkpoint.
-func enumerateFrom(ctx context.Context, p *program.Program, pol order.Policy, opts Options, seed *resumeSeed) (res *Result, err error) {
-	opts = opts.withDefaults()
-	res = &Result{Model: pol.Name()}
-	res.Stats.Workers = 1
-	seen := newKeySet(opts)
-	defer seen.release()
-	seen.seed(opts.SeedSeen)
-	// The finals set is never budgeted: completed executions pin their
-	// graphs and node slices regardless, so spilling their (far fewer)
-	// fingerprints would save nothing and cost a disk probe per final.
-	fopts := opts
-	fopts.DedupMemBudget = 0
-	finals := newKeySet(fopts)
-	var pool statePool
-	pool.limitBytes = stateLimitFor(opts.MaxNodes)
-	var fams cowFams
-	var fr frontier
-
-	// Search pruning: prefix dedup kills duplicate children at fork time
-	// (before they are queued); symmetry canonicalizes the seen-set keys
-	// under the program's automorphism group, with the pruned orbit
-	// members reconstructed after a complete run.
-	prefixPrune := !opts.DisableDedup && !opts.DisablePrefixPrune
-	var sym *symmetry
-	if opts.Symmetry && !opts.DisableDedup {
-		sym = detectSymmetry(p)
-	}
-
-	met := opts.Metrics
-	inst := telemetry.Enabled && (met != nil || opts.Tracer != nil)
-	if met != nil {
-		met.Workers.Set(1)
-	}
-	// flushStats folds the pool and COW counters into Stats (and mirrors
-	// the end-of-run counters into the metric set) on every exit path.
-	flushStats := func() {
-		res.Stats.PoolHits, res.Stats.PoolMisses = pool.hits, pool.misses
-		res.Stats.PoolDropped = pool.dropped
-		res.Stats.CowRowsShared, res.Stats.CowRowsCopied, _ = fams.totals()
-		res.Stats.SpillDegraded = seen.degradations()
-		res.Stats.FrontierDemoted = int(fr.demotals)
-		res.Stats.FrontierResidentPeak = fr.peak
-		if met != nil {
-			met.PoolHits.Add(0, int64(pool.hits))
-			met.PoolMisses.Add(0, int64(pool.misses))
-			met.PoolDrops.Add(0, int64(pool.dropped))
-			met.Rollbacks.Add(0, int64(res.Stats.Rollbacks))
-			shared, copied, slab := fams.totals()
-			met.CowRowsShared.Add(0, shared)
-			met.CowRowsCopied.Add(0, copied)
-			met.SlabBytes.Add(0, slab)
-		}
-	}
-
-	// The work stack, with path-compressed demotion beyond the resident
-	// budget (see frontier.go). Budget 0 keeps every state resident.
-	frBudget := opts.FrontierResidentBytes
-	if frBudget < 0 {
-		frBudget = autoFrontierBudget(opts.MaxNodes)
-	}
-	fr = frontier{budget: frBudget, pool: &pool, met: met, p: p, pol: pol, opts: opts, fams: &fams}
-	if seed != nil {
-		res.Stats.StatesExplored = seed.explored
-		for _, s := range seed.work {
-			fams.add(s.g)
-			fr.push(s)
-		}
-		for _, s := range seed.finals {
-			fams.add(s.g)
-			if finals.insert(s) {
-				res.Executions = append(res.Executions, s.finish())
-			}
-		}
-	} else {
-		root := newState(p, pol, opts)
-		fams.add(root.g)
-		fr.push(root)
-	}
-
-	// cur is the behavior being processed; on any graceful stop it
-	// rejoins the frontier so nothing explored is lost.
-	var cur *state
-	halt := func(reason IncompleteReason, cause error) (*Result, error) {
-		flushStats()
-		rep := &Incomplete{Reason: reason, Cause: cause, StatesExplored: res.Stats.StatesExplored}
-		// Demoted entries are emitted straight from their stored paths —
-		// no replay — so a halt costs O(frontier) encoding, not replays.
-		rep.Frontier = fr.appendPaths(rep.Frontier)
-		if cur != nil {
-			rep.Frontier = append(rep.Frontier, copyPath(cur.path))
-			cur = nil
-		}
-		rep.StatesPending = len(rep.Frontier)
-		rep.SpillDegraded = res.Stats.SpillDegraded
-		rep.Metrics = met.Snapshot()
-		res.Incomplete = rep
-		opts.Journal.Emit(obslog.EngineIncomplete, obslog.Fields{
-			Reason: string(reason), States: rep.StatesExplored, Count: rep.StatesPending,
-		})
-		return res, &IncompleteError{Report: rep}
-	}
-
-	// Panic isolation: a crash in the engine (or a CandidateHook)
-	// becomes an error carrying the offending program and the
-	// enumeration path for deterministic reproduction.
-	defer func() {
-		if r := recover(); r != nil {
-			pe := &PanicError{Recovered: r, Stack: debug.Stack(), Program: p.String()}
-			if cur != nil {
-				pe.Path = copyPath(cur.path)
-			}
-			res, err = halt(ReasonPanic, pe)
-		}
-	}()
-
-	ckpt := opts.Checkpoint
-	var progHash uint64
-	var lastCkpt time.Time
-	if ckpt != nil {
-		progHash = ProgramHash(p)
-		lastCkpt = time.Now()
-	}
-
-	for fr.len() > 0 {
-		if cerr := ctx.Err(); cerr != nil {
-			return halt(classifyCtxErr(cerr), cerr)
-		}
-		if ckpt != nil && time.Since(lastCkpt) >= ckpt.Every {
-			lastCkpt = time.Now()
-			queued := fr.appendPaths(nil)
-			var completed [][]PathStep
-			for _, e := range res.Executions {
-				completed = append(completed, e.Path)
-			}
-			saveTimed(ckpt, checkpointNow(res.Model, progHash, opts, res.Stats.StatesExplored, completed, queued), opts)
-		}
-
-		s, perr := fr.pop()
-		if perr != nil {
-			flushStats()
-			return res, fmt.Errorf("core: frontier revival failed: %w", perr)
-		}
-		if res.Stats.StatesExplored >= opts.MaxBehaviors {
-			cur = s
-			return halt(ReasonMaxBehaviors, budgetError(opts.MaxBehaviors))
-		}
-		res.Stats.StatesExplored++
-		cur = s
-		if met != nil {
-			met.Explored.Inc(0)
-			met.Frontier.Set(int64(fr.len() + 1))
-			met.FrontierHist.Observe(int64(fr.len() + 1))
-		}
-
-		// Phase 1+2 to fixpoint (generation unblocks after branch
-		// resolution, so the two interleave).
-		s.shard = 0
-		if qerr := s.runToQuiescence(); qerr != nil {
-			if qerr == errInconsistent {
-				res.Stats.Rollbacks++
-				cur = nil
-				pool.put(s)
-				continue
-			}
-			if errors.Is(qerr, errNodeBudget) {
-				return halt(ReasonMaxNodes, qerr)
-			}
-			flushStats()
-			return res, qerr
-		}
-
-		if s.done() {
-			cur = nil
-			if finals.insert(s) {
-				// finish hands the state's buffers to the Execution,
-				// so this state is not pooled.
-				res.Executions = append(res.Executions, s.finish())
-				if met != nil {
-					met.Behaviors.Inc(0)
-				}
-			} else {
-				pool.put(s)
-			}
-			continue
-		}
-
-		// Load–Store-graph dedup (Section 4.1): states reached by
-		// resolving the same loads from the same stores in different
-		// orders are equivalent; explore one representative. The
-		// check runs post-quiescence so that generation unlocked by
-		// branch outcomes has settled — it remains load-bearing with
-		// prefix pruning on, because fork-time keys predate the
-		// child's quiescence (the node count can still grow). A state
-		// inserted at fork time whose key is unchanged must not be
-		// discarded as a duplicate of itself.
-		if !opts.DisableDedup {
-			h, sig, _ := s.dedupKey(sym, opts.dedupString)
-			if !seen.keyMatches(s, h, sig) && !seen.insertKey(h, sig) {
-				res.Stats.DuplicatesDiscarded++
-				if met != nil {
-					met.DedupHits.Inc(0)
-				}
-				cur = nil
-				pool.put(s)
-				continue
-			}
-		}
-
-		// Phase 3: Load Resolution. With COW on, sibling children are
-		// evaluated by trial-applying each resolution + closure directly
-		// on the parent and rolling it back in place (state.beginTrial /
-		// graph.BeginTrial): a candidate the closure rejects never pays a
-		// fork, and a surviving child is materialized mid-trial with the
-		// ordinary COW fork. -cow=off keeps the fork-first legacy loop as
-		// the equivalence baseline.
-		var resolveStart time.Time
-		if inst {
-			resolveStart = time.Now()
-		}
-		useTrial := !opts.DisableCOW
-		// A leaf parent's children are complete behaviors: they are
-		// recorded (or elided as already-recorded finals) during this
-		// sweep and never queued at all.
-		leaf := useTrial && s.leafParent()
-		progressed := false
-		for lid := range s.nodes {
-			if !s.eligibleCached(lid) {
-				continue
-			}
-			cands := s.candidates(lid)
-			if met != nil {
-				met.Candidates.Observe(int64(len(cands)))
-			}
-			if opts.CandidateHook != nil {
-				labels := make([]string, len(cands))
-				for i, sid := range cands {
-					labels[i] = s.nodes[sid].Label
-				}
-				opts.CandidateHook(s.nodes[lid].Label, s.nodes[lid].Addr, labels)
-			}
-			// The load's prior-local-store list depends only on generated
-			// nodes and known addresses — constant across this load's
-			// sibling resolutions, so hoist it out of the candidate loop.
-			var locals []int
-			if useTrial && len(cands) > 0 {
-				locals = s.localPriorStores(lid, true)
-			}
-			for _, sid := range cands {
-				// Prefix pruning, priced before any work: childKey
-				// derives the would-be child's canonical key from the
-				// parent plus the (load, store) pair, so a child whose
-				// key is already in the seen-set is dropped without ever
-				// being evaluated. Inserting the key before attempting
-				// the resolution is sound — equal fork-time keys mean
-				// identical states, so a child whose resolution would
-				// roll back only ever suppresses twins that would roll
-				// back too. Completeness is unaffected; CandidateHook
-				// has already fired (duplicates never re-fired it).
-				var h uint64
-				var sig string
-				if prefixPrune {
-					var symHit bool
-					h, sig, symHit = s.childKey(sym, lid, sid, opts.dedupString)
-					if !seen.insertKey(h, sig) {
-						if symHit {
-							res.Stats.SymmetryPruned++
-							if met != nil {
-								met.PruneSymmetry.Inc(0)
-							}
-						} else {
-							res.Stats.PrefixPruned++
-							if met != nil {
-								met.PrunePrefix.Inc(0)
-							}
-						}
-						progressed = true
-						continue
-					}
-				}
-				if !useTrial {
-					res.Stats.Forks++
-					if met != nil {
-						met.Forks.Inc(0)
-					}
-					ns := s.fork(&pool)
-					if rerr := ns.resolveLoad(lid, sid); rerr != nil {
-						res.Stats.Rollbacks++
-						pool.put(ns)
-						continue
-					}
-					if cerr := ns.closure(); cerr != nil {
-						res.Stats.Rollbacks++
-						pool.put(ns)
-						continue
-					}
-					progressed = true
-					if prefixPrune {
-						ns.seenKeyed, ns.seenH, ns.seenSig = true, h, sig
-					}
-					fr.push(ns)
-					continue
-				}
-				// Trial-apply on the parent: resolution + closure run in
-				// place; only a surviving, non-duplicate child pays a
-				// fork.
-				m := s.beginTrial(lid)
-				rerr := s.resolveLoadWith(lid, sid, locals)
-				if rerr == nil {
-					rerr = s.closure()
-				}
-				if rerr != nil {
-					s.rollbackTrial(m, false)
-					res.Stats.Rollbacks++
-					res.Stats.TrialRollbacks++
-					res.Stats.ChildrenElided++
-					if met != nil {
-						met.TrialRollbacks.Inc(0)
-						met.ChildrenElided.Inc(0)
-					}
-					continue
-				}
-				if leaf && s.done() {
-					// The trial state IS the completed child behavior, so
-					// its fingerprint can be checked against the finals
-					// set before any fork: an already-recorded behavior
-					// rolls back in place and the child never exists.
-					if finals.hasState(s) {
-						s.rollbackTrial(m, false)
-						res.Stats.ChildrenElided++
-						if met != nil {
-							met.ChildrenElided.Inc(0)
-						}
-						progressed = true
-						continue
-					}
-					ns := s.fork(&pool)
-					s.rollbackTrial(m, true)
-					res.Stats.ChildrenElided++
-					if met != nil {
-						met.ChildrenElided.Inc(0)
-					}
-					progressed = true
-					if finals.insert(ns) {
-						res.Executions = append(res.Executions, ns.finish())
-						if met != nil {
-							met.Behaviors.Inc(0)
-						}
-					} else {
-						pool.put(ns)
-					}
-					continue
-				}
-				// Interior survivor: materialize mid-trial. The child is
-				// content-identical to a legacy fork-then-resolve child.
-				ns := s.fork(&pool)
-				s.rollbackTrial(m, true)
-				progressed = true
-				res.Stats.Forks++
-				if met != nil {
-					met.Forks.Inc(0)
-				}
-				if prefixPrune {
-					ns.seenKeyed, ns.seenH, ns.seenSig = true, h, sig
-				}
-				fr.push(ns)
-			}
-		}
-		if inst {
-			if met != nil {
-				met.ResolveNs.Add(0, time.Since(resolveStart).Nanoseconds())
-			}
-			opts.Tracer.Span("load-resolution", "phase", 0, resolveStart)
-		}
-		if !progressed {
-			// No eligible load made progress. With speculation
-			// every candidate of every eligible load may roll
-			// back — that just kills this behavior. Anything
-			// else is an engine invariant violation.
-			if s.hasEligibleLoad() {
-				res.Stats.Rollbacks++
-				cur = nil
-				pool.put(s)
-				continue
-			}
-			flushStats()
-			return res, fmt.Errorf("core: enumeration stalled with unresolved loads (model %s)", pol.Name())
-		}
-		// The children forked above are deep copies; the parent's
-		// buffers are free to recycle.
-		cur = nil
-		pool.put(s)
-	}
-	// Orbit expansion: symmetry pruning explored one representative per
-	// state orbit, so the final set now holds at least one member of
-	// every behavior orbit. Applying every automorphism to every
-	// recorded behavior (group closure makes one pass sufficient) and
-	// replaying the permuted paths reconstructs the rest; the plain
-	// fingerprint dedup in finals drops the already-present members.
-	// Only a complete run expands — an interrupted run's frontier is
-	// resumable and expansion would record behaviors the checkpoint
-	// cannot account for.
-	if sym != nil && len(res.Executions) > 0 {
-		base := res.Executions
-		if xerr := expandSymmetry(p, pol, opts, sym, base, func(ns *state) {
-			fams.add(ns.g)
-			if finals.insert(ns) {
-				res.Executions = append(res.Executions, ns.finish())
-				if met != nil {
-					met.Behaviors.Inc(0)
-				}
-			}
-		}); xerr != nil {
-			flushStats()
-			return res, xerr
-		}
-	}
-	if met != nil {
-		met.Frontier.Set(0)
-	}
-	if opts.ExportSeen != 0 {
-		res.SeenExport = seen.export(opts.ExportSeen)
-	}
-	flushStats()
-	return res, nil
 }
 
 // runToQuiescence alternates generation and execution until neither makes

@@ -17,8 +17,7 @@ import (
 // What is IN the key: the model name, the program listing, and the
 // options that change which behaviors come back — Speculative (the
 // model's aliasing discipline), MaxNodes, and MaxBehaviors (budget
-// cut-offs truncate the set deterministically for the sequential
-// engine). Options are folded through withDefaults first, so an unset
+// cut-offs truncate the set deterministically at width 1). Options are folded through withDefaults first, so an unset
 // budget and the explicit default hash identically.
 //
 // What is OUT: everything equivalence-preserving. Pruning layers, COW,
@@ -34,7 +33,7 @@ import (
 // history:
 //
 //	1: implicit (unversioned keys).
-//	2: trial-apply fork elision — a budget-truncated sequential run now
+//	2: trial-apply fork elision — a budget-truncated width-1 run now
 //	   records leaf behaviors found during a sweep even when the budget
 //	   expires before those children would have been popped, so
 //	   truncated behavior sets (MaxBehaviors is in the key) differ from

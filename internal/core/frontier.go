@@ -1,11 +1,5 @@
 package core
 
-import (
-	"storeatomicity/internal/order"
-	"storeatomicity/internal/program"
-	"storeatomicity/internal/telemetry"
-)
-
 // Path-compressed frontier: beyond a configurable resident window, queued
 // states are demoted to their replay paths — delta-compressed with the
 // checkpoint pathBlock codec — and their graphs and arenas recycled into
@@ -179,115 +173,4 @@ func (d *demotedStack) appendPaths(dst [][]PathStep) [][]PathStep {
 // genuinely deep searches.
 func autoFrontierBudget(maxNodes int) int64 {
 	return 1024 * stateLimitFor(maxNodes)
-}
-
-// frontier is the sequential engine's work stack with path-compressed
-// demotion: a resident top ([]*state, popped newest-first) over a demoted
-// bottom (demotedStack). With budget == 0 it degrades to a plain slice.
-type frontier struct {
-	resident []*state
-	charges  []int64 // resident charge per state, parallel to resident
-	bytes    int64   // Σ charges
-	peak     int64
-	budget   int64 // 0 = unbudgeted
-	demotals int64 // lifetime demotions
-
-	pool *statePool
-	met  *telemetry.EnumMetrics
-	dem  demotedStack
-
-	// Replay identity for revival.
-	p    *program.Program
-	pol  order.Policy
-	opts Options
-	fams *cowFams
-}
-
-func (f *frontier) len() int { return len(f.resident) + f.dem.count() }
-
-// push queues a state, demoting the oldest resident entries once the
-// resident window exceeds the budget. The newest entry is never demoted:
-// the engine pops it right back in the common DFS pattern.
-func (f *frontier) push(s *state) {
-	c := s.residentBytes()
-	f.resident = append(f.resident, s)
-	f.charges = append(f.charges, c)
-	f.bytes += c
-	if f.bytes > f.peak {
-		f.peak = f.bytes
-		if f.met != nil {
-			f.met.FrontierResidentPeak.Set(f.peak)
-		}
-	}
-	if f.budget > 0 {
-		for f.bytes > f.budget && len(f.resident) > 1 {
-			f.demoteOldest()
-		}
-	}
-	if f.met != nil {
-		f.met.FrontierResident.Set(f.bytes)
-	}
-}
-
-// demoteOldest moves the bottom resident state onto the demoted stack and
-// recycles it into the pool.
-func (f *frontier) demoteOldest() {
-	s := f.resident[0]
-	copy(f.resident, f.resident[1:])
-	f.resident[len(f.resident)-1] = nil
-	f.resident = f.resident[:len(f.resident)-1]
-	f.bytes -= f.charges[0]
-	copy(f.charges, f.charges[1:])
-	f.charges = f.charges[:len(f.charges)-1]
-	f.dem.push(copyPath(s.path), seenMeta{keyed: s.seenKeyed, h: s.seenH, sig: s.seenSig})
-	f.pool.put(s)
-	f.demotals++
-	if f.met != nil {
-		f.met.FrontierDemoted.Inc(0)
-	}
-}
-
-// pop removes and returns the newest queued state, re-materializing it by
-// path replay if it had been demoted. Returns nil when empty.
-func (f *frontier) pop() (*state, error) {
-	if n := len(f.resident); n > 0 {
-		s := f.resident[n-1]
-		f.resident[n-1] = nil
-		f.resident = f.resident[:n-1]
-		f.bytes -= f.charges[n-1]
-		f.charges = f.charges[:n-1]
-		if f.met != nil {
-			f.met.FrontierResident.Set(f.bytes)
-		}
-		return s, nil
-	}
-	path, m, ok := f.dem.popNewest()
-	if !ok {
-		return nil, nil
-	}
-	return f.revive(path, m)
-}
-
-// revive replays a demoted path back into a live state. Replay is
-// deterministic, so the revived state is identical to the one demoted;
-// the fork-time seen-set key is restored so the dedup backstop recognizes
-// the state as itself.
-func (f *frontier) revive(path []PathStep, m seenMeta) (*state, error) {
-	ns, err := replayPath(f.p, f.pol, f.opts, path)
-	if err != nil {
-		return nil, err
-	}
-	ns.seenKeyed, ns.seenH, ns.seenSig = m.keyed, m.h, m.sig
-	f.fams.add(ns.g)
-	return ns, nil
-}
-
-// appendPaths emits the whole frontier, demoted bottom first, matching
-// the logical stack order a plain slice would have.
-func (f *frontier) appendPaths(dst [][]PathStep) [][]PathStep {
-	dst = f.dem.appendPaths(dst)
-	for _, s := range f.resident {
-		dst = append(dst, copyPath(s.path))
-	}
-	return dst
 }

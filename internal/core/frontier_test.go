@@ -133,9 +133,10 @@ func assertPathEqual(t *testing.T, who int, got, want []PathStep) {
 // TestFrontierDemotionRoundTrip is the forced demote/re-materialize test:
 // a 1-byte resident budget demotes every queued state through the
 // pathBlock codec and revives each by replay, and the resulting behavior
-// set — and, for the sequential engine, the exact discovery order — must
-// be bit-identical to the undemoted run. Sweeps both engines and a
-// speculative model so revival replays rollback-prone paths too.
+// set must be bit-identical to the undemoted run (TestWidthOneContracts
+// pins that width-1 exploration order survives demotion too). Sweeps
+// widths 1, 2 and 4 and a speculative model so revival replays
+// rollback-prone paths too.
 func TestFrontierDemotionRoundTrip(t *testing.T) {
 	progs := []struct {
 		name string
@@ -163,7 +164,7 @@ func TestFrontierDemotionRoundTrip(t *testing.T) {
 				t.Fatal("1-byte budget demoted nothing")
 			}
 			if got, want := keysOf(squeezed), keysOf(base); got != want {
-				t.Fatalf("sequential demoted run diverged:\n got %s\nwant %s", got, want)
+				t.Fatalf("width-1 demoted run diverged:\n got %s\nwant %s", got, want)
 			}
 			for _, workers := range []int{2, 4} {
 				par, err := EnumerateParallel(context.Background(), p, order.Relaxed(), tiny, workers)
@@ -178,8 +179,9 @@ func TestFrontierDemotionRoundTrip(t *testing.T) {
 	}
 }
 
-// keysOf renders the execution sequence in discovery order (order-
-// sensitive — sequential engine only).
+// keysOf renders the executions in result order. The engine returns them
+// in one canonical order at every width, so equal strings mean equal
+// behavior sets in equal order.
 func keysOf(r *Result) string {
 	s := ""
 	for _, e := range r.Executions {

@@ -196,7 +196,7 @@ func (e *PanicError) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// errNodeBudget tags the per-state node-budget error so the engines can
+// errNodeBudget tags the per-state node-budget error so the engine can
 // classify it as a graceful stop (ReasonMaxNodes) rather than an engine
 // fault.
 var errNodeBudget = errors.New("node budget exhausted")

@@ -205,7 +205,7 @@ func (e *Execution) Key() string {
 
 // Fingerprint returns the 64-bit FNV-1a hash of the execution's canonical
 // Load–Store-graph encoding (node count plus resolved (load, source)
-// pairs) — the same key the enumeration engines dedup on. Two executions
+// pairs) — the same key the enumeration engine dedups on. Two executions
 // of one program under one model are equivalent iff their fingerprints
 // match (up to hash collision; see the dedupcheck build tag).
 func (e *Execution) Fingerprint() uint64 { return fingerprintNodes(e.Nodes) }

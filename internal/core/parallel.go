@@ -1,19 +1,22 @@
 package core
 
-// Parallel enumeration: the behavior set B of Section 4.1 is an
-// unordered work pool — behaviors are independent once forked, so the
-// engine parallelizes naturally. This implementation is a work-stealing
-// scheduler: every worker owns a LIFO deque of behaviors (depth-first,
-// like the sequential engine, which keeps the live frontier small) and
-// steals FIFO from a random victim when its own deque drains — stealing
-// the oldest entries hands over the largest subtrees. The Load–Store-
-// graph dedup set and the final-execution set are sharded 64 ways by
-// fingerprint so workers rarely contend on a lock, and each worker keeps
-// private Stats and a private state pool, merged/retired at the end.
+// The enumeration engine. The behavior set B of Section 4.1 is an
+// unordered work pool — behaviors are independent once forked — so one
+// work-stealing scheduler serves every width: each worker owns a LIFO
+// deque of behaviors (depth-first, which keeps the live frontier small)
+// and steals FIFO from a random victim when its own deque drains —
+// stealing the oldest entries hands over the largest subtrees. The
+// Load–Store-graph dedup set and the final-execution set are sharded by
+// fingerprint (one shard at width 1, dedupShards above) so workers rarely
+// contend on a lock, and each worker keeps private Stats and a private
+// state pool, merged/retired at the end.
 //
-// The behavior set is identical to sequential enumeration (tests enforce
-// it); only discovery order differs, so results are canonically sorted
-// before returning.
+// Width 1 is the classic sequential search: worker 0 runs on the calling
+// goroutine, nothing is ever stolen, and exploration order is
+// deterministic — checkpoints, budget stops and Incomplete frontiers
+// repeat exactly. Wider runs find the identical behavior set (tests
+// enforce it) in a schedule-dependent order; every width returns the
+// executions in one canonical order (shardedSet.sorted).
 //
 // Failure semantics degrade gracefully: context cancellation, deadline
 // expiry, the MaxBehaviors/MaxNodes budgets, and worker panics all stop
@@ -36,7 +39,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,28 +48,6 @@ import (
 	"storeatomicity/internal/program"
 	"storeatomicity/internal/telemetry"
 )
-
-// dedupShards is the shard count for the shared dedup/final sets; 64
-// keeps lock contention negligible at any realistic worker count.
-const dedupShards = 64
-
-// seenShard is one shard of the Load–Store-graph dedup set. With a
-// DedupMemBudget the map is replaced by a per-shard spillStore (each
-// shard gets budget/dedupShards), still under the shard mutex.
-type seenShard struct {
-	mu    sync.Mutex
-	seen  map[uint64]struct{}
-	spill *spillStore
-	guard map[uint64]string // fingerprint collision cross-check (dedupcheck builds)
-}
-
-// finalShard is one shard of the completed-execution set.
-type finalShard struct {
-	mu    sync.Mutex
-	seen  map[uint64]struct{}
-	guard map[uint64]string
-	execs []*Execution
-}
 
 // wsEngine is the shared scheduler core.
 type wsEngine struct {
@@ -83,9 +63,9 @@ type wsEngine struct {
 	tr   *telemetry.Tracer
 	inst bool
 
-	// prefixPrune/sym mirror the sequential engine's pruning setup:
-	// fork-time dedup against the shared seen-set, and the program's
-	// automorphism group for canonical keys (nil when off or absent).
+	// prefixPrune/sym are the pruning setup: fork-time dedup against the
+	// shared seen-set, and the program's automorphism group for canonical
+	// keys (nil when off or absent).
 	prefixPrune bool
 	sym         *symmetry
 
@@ -96,6 +76,9 @@ type wsEngine struct {
 	// pending reaching zero means the enumeration is complete.
 	pending  atomic.Int64
 	explored atomic.Int64
+	// resident sums the workers' resident frontier bytes for the live
+	// frontier_resident_bytes gauge (maintained only with metrics on).
+	resident atomic.Int64
 
 	stop atomic.Bool
 
@@ -115,11 +98,18 @@ type wsEngine struct {
 	// Idle workers park on idleCond; idlers mirrors the count so
 	// pushers can skip the lock when nobody is parked.
 	idleMu   sync.Mutex
-	idleCond *sync.Cond
+	idleCond sync.Cond
 	idlers   atomic.Int32
 
-	seen   [dedupShards]seenShard
-	finals [dedupShards]finalShard
+	seen   shardedSet
+	finals shardedSet
+
+	// Timed checkpoints: whichever worker finds one due (at the top of its
+	// loop) claims it by advancing lastCkpt, nanoseconds since start.
+	ckpt     *CheckpointConfig
+	progHash uint64
+	start    time.Time
+	lastCkpt atomic.Int64
 }
 
 // wsWorker is one scheduler worker: a lock-guarded deque (LIFO for the
@@ -166,15 +156,12 @@ func EnumerateParallel(ctx context.Context, p *program.Program, pol order.Policy
 	return enumerateParallelFrom(ctx, p, pol, opts, workers, nil)
 }
 
-// enumerateParallelFrom is the work-stealing engine, optionally seeded
-// from a checkpoint.
+// enumerateParallelFrom runs the engine at the given width, optionally
+// seeded from a checkpoint, a shard path, or completed paths to merge.
 func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Policy, opts Options, workers int, seed *resumeSeed) (*Result, error) {
 	opts = opts.withDefaults()
 	if workers <= 0 {
 		workers = runtime.NumCPU()
-	}
-	if workers == 1 {
-		return enumerateFrom(ctx, p, pol, opts, seed)
 	}
 
 	e := &wsEngine{opts: opts, prog: p, pol: pol, ctx: ctx}
@@ -187,7 +174,13 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 	if e.met != nil {
 		e.met.Workers.Set(int64(workers))
 	}
-	e.idleCond = sync.NewCond(&e.idleMu)
+	e.idleCond.L = &e.idleMu
+	e.seen.init(workers, opts, opts.DedupMemBudget)
+	defer e.seen.release()
+	// The finals set is never budgeted: completed executions pin their
+	// graphs and node slices regardless, so spilling their (far fewer)
+	// fingerprints would save nothing and cost a disk probe per final.
+	e.finals.init(workers, opts, 0)
 	e.workers = make([]*wsWorker, workers)
 	limit := stateLimitFor(opts.MaxNodes)
 	// The frontier budget is split evenly across workers: each deque
@@ -198,10 +191,7 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 	}
 	var perWorker int64
 	if frBudget > 0 {
-		perWorker = frBudget / int64(workers)
-		if perWorker < 1 {
-			perWorker = 1
-		}
+		perWorker = max(frBudget/int64(workers), 1)
 	}
 	for i := range e.workers {
 		e.workers[i] = &wsWorker{eng: e, idx: i, rng: uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
@@ -209,7 +199,7 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 		e.workers[i].budget = perWorker
 	}
 
-	e.seedSeen(opts.SeedSeen)
+	e.seen.seed(opts.SeedSeen)
 
 	// Forks join their root's COW family, so collecting families at the
 	// single-threaded moments (seeding here, orbit expansion below) covers
@@ -221,7 +211,7 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 			fams.add(s.g)
 			// Duplicate recorded behaviors in the checkpoint are
 			// dropped by the fingerprint dedup.
-			e.addFinal(s)
+			e.finals.record(s)
 		}
 		e.pending.Store(int64(len(seed.work)))
 		for i, s := range seed.work {
@@ -235,53 +225,28 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 		e.workers[0].push(root)
 	}
 
-	// The context watcher and checkpoint ticker are torn down before
-	// returning, so EnumerateParallel never leaks a goroutine whatever
-	// the stopping condition.
-	finCh := make(chan struct{})
-	var aux sync.WaitGroup
-	if done := ctx.Done(); done != nil {
-		aux.Add(1)
-		go func() {
-			defer aux.Done()
-			select {
-			case <-done:
-				e.halt(classifyCtxErr(ctx.Err()), ctx.Err())
-			case <-finCh:
-			}
-		}()
-	}
 	if ckpt := opts.Checkpoint; ckpt != nil {
-		progHash := ProgramHash(p)
-		aux.Add(1)
-		go func() {
-			defer aux.Done()
-			t := time.NewTicker(ckpt.Every)
-			defer t.Stop()
-			for {
-				select {
-				case <-finCh:
-					return
-				case <-t.C:
-					saveTimed(ckpt, checkpointNow(pol.Name(), progHash, opts,
-						int(e.explored.Load()), e.completedPaths(), e.frontierPaths()), opts)
-				}
-			}
-		}()
+		e.ckpt, e.progHash, e.start = ckpt, ProgramHash(p), time.Now()
 	}
 
+	// Cancellation halts the scheduler from the context's own callback
+	// (so parked peers wake), never from a watcher goroutine; a lone
+	// worker never parks and polls ctx on every state, so it needs no
+	// callback. Worker 0 runs on the calling goroutine, and the peers are
+	// joined before returning.
+	if workers > 1 && ctx.Done() != nil {
+		defer context.AfterFunc(ctx, func() { e.halt(classifyCtxErr(ctx.Err()), ctx.Err()) })()
+	}
 	var wg sync.WaitGroup
-	for _, w := range e.workers {
+	for _, w := range e.workers[1:] {
 		wg.Add(1)
 		go func(w *wsWorker) {
 			defer wg.Done()
 			w.run()
 		}(w)
 	}
+	e.workers[0].run()
 	wg.Wait()
-	close(finCh)
-	aux.Wait()
-	defer e.releaseSpill()
 
 	res := &Result{Model: pol.Name()}
 	res.Stats.StatesExplored = int(e.explored.Load())
@@ -291,8 +256,9 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 		res.Stats.ChildrenElided += w.stats.ChildrenElided
 		res.Stats.TrialRollbacks += w.stats.TrialRollbacks
 		res.Stats.FrontierDemoted += w.stats.FrontierDemoted
-		// Summed per-worker peaks: a conservative bound on the true
-		// simultaneous peak, which no single lock ever observes.
+		// Summed per-worker peaks: exact at width 1, and above that a
+		// conservative bound on the true simultaneous peak, which no
+		// single lock ever observes.
 		res.Stats.FrontierResidentPeak += w.peak
 		res.Stats.Rollbacks += w.stats.Rollbacks
 		res.Stats.DuplicatesDiscarded += w.stats.DuplicatesDiscarded
@@ -320,19 +286,20 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 	e.errMu.Lock()
 	reason, cause, ferr := e.reason, e.cause, e.firstErr
 	e.errMu.Unlock()
-	res.Stats.SpillDegraded = e.spillDegradations()
+	res.Stats.SpillDegraded = e.seen.degradations()
 
-	// Orbit expansion (see the sequential engine): only a complete run
-	// expands — an interrupted run's frontier is resumable and would
-	// re-derive the orbits on completion.
+	// Orbit expansion: symmetry pruning explored one representative per
+	// state orbit, so the final set now holds at least one member of every
+	// behavior orbit. Applying every automorphism to every recorded
+	// behavior (group closure makes one pass sufficient) and replaying the
+	// permuted paths reconstructs the rest; the plain fingerprint dedup in
+	// finals drops the already-present members. Only a complete run
+	// expands — an interrupted run's frontier is resumable and expansion
+	// would record behaviors the checkpoint cannot account for.
 	if reason == "" && ferr == nil && e.sym != nil {
-		var base []*Execution
-		for i := range e.finals {
-			base = append(base, e.finals[i].execs...)
-		}
-		if xerr := expandSymmetry(p, pol, opts, e.sym, base, func(ns *state) {
+		if xerr := expandSymmetry(p, pol, opts, e.sym, e.finals.executions(), func(ns *state) {
 			fams.add(ns.g)
-			if e.addFinal(ns) && e.met != nil {
+			if e.finals.record(ns) && e.met != nil {
 				e.met.Behaviors.Inc(0)
 			}
 		}); xerr != nil {
@@ -352,12 +319,7 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 
 	// Partial results are first-class: executions are collected on
 	// every path, including stops and errors.
-	for i := range e.finals {
-		res.Executions = append(res.Executions, e.finals[i].execs...)
-	}
-	sort.Slice(res.Executions, func(i, j int) bool {
-		return res.Executions[i].SourceKey() < res.Executions[j].SourceKey()
-	})
+	res.Executions = e.finals.sorted()
 
 	if reason != "" {
 		rep := &Incomplete{
@@ -379,9 +341,17 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 		return res, ferr
 	}
 	if opts.ExportSeen != 0 {
-		res.SeenExport = e.exportSeen(opts.ExportSeen)
+		res.SeenExport = e.seen.export(opts.ExportSeen)
 	}
 	return res, nil
+}
+
+// residentDelta feeds a change in some worker's resident frontier bytes
+// into the live frontier_resident_bytes gauge.
+func (e *wsEngine) residentDelta(d int64) {
+	if e.met != nil && d != 0 {
+		e.met.FrontierResident.Set(e.resident.Add(d))
+	}
 }
 
 // push appends a behavior to the worker's own deque, demotes past the
@@ -393,6 +363,7 @@ func (w *wsWorker) push(s *state) {
 	w.deque = append(w.deque, s)
 	w.charges = append(w.charges, c)
 	w.bytes += c
+	w.eng.residentDelta(c)
 	if w.bytes > w.peak {
 		w.peak = w.bytes
 	}
@@ -412,15 +383,7 @@ func (w *wsWorker) push(s *state) {
 // demoted stack and recycles its buffers. Caller holds w.mu (and is the
 // owner — the pool is owner-private).
 func (w *wsWorker) demoteOldestLocked() {
-	s := w.deque[w.head]
-	w.deque[w.head] = nil
-	w.bytes -= w.charges[w.head]
-	w.head++
-	if w.head == len(w.deque) {
-		w.head = 0
-		w.deque = w.deque[:0]
-		w.charges = w.charges[:0]
-	}
+	s := w.takeOldestLocked()
 	w.dem.push(copyPath(s.path), seenMeta{keyed: s.seenKeyed, h: s.seenH, sig: s.seenSig})
 	w.pool.put(s)
 	w.stats.FrontierDemoted++
@@ -442,12 +405,9 @@ func (w *wsWorker) pop() (*state, []PathStep, seenMeta) {
 		w.deque[n] = nil
 		w.deque = w.deque[:n]
 		w.bytes -= w.charges[n]
+		w.eng.residentDelta(-w.charges[n])
 		w.charges = w.charges[:n]
-		if w.head == len(w.deque) {
-			w.head = 0
-			w.deque = w.deque[:0]
-			w.charges = w.charges[:0]
-		}
+		w.resetIfEmptyLocked()
 		w.current = s
 		return s, nil, seenMeta{}
 	}
@@ -467,13 +427,20 @@ func (w *wsWorker) takeOldestLocked() *state {
 	s := w.deque[w.head]
 	w.deque[w.head] = nil
 	w.bytes -= w.charges[w.head]
+	w.eng.residentDelta(-w.charges[w.head])
 	w.head++
+	w.resetIfEmptyLocked()
+	return s
+}
+
+// resetIfEmptyLocked rewinds a drained deque so the head index does not
+// pin consumed backing array slots.
+func (w *wsWorker) resetIfEmptyLocked() {
 	if w.head == len(w.deque) {
 		w.head = 0
 		w.deque = w.deque[:0]
 		w.charges = w.charges[:0]
 	}
-	return s
 }
 
 // revive replays a demoted path into a live state on the worker's own
@@ -524,9 +491,12 @@ func (w *wsWorker) nextRand() uint64 {
 // can never observe the stolen behavior in neither place. The victim's
 // demoted entries are stolen before its resident ones — they are the
 // oldest, hence the largest subtrees; the thief replays the path outside
-// the locks.
+// the locks. A lone worker has no victims.
 func (e *wsEngine) steal(w *wsWorker) (*state, []PathStep, seenMeta) {
 	n := len(e.workers)
+	if n == 1 {
+		return nil, nil, seenMeta{}
+	}
 	off := int(w.nextRand() % uint64(n))
 	for i := 0; i < n; i++ {
 		v := e.workers[(off+i)%n]
@@ -617,10 +587,11 @@ func (e *wsEngine) addLeftover(s *state) {
 // frontierPaths snapshots the replayable path of every live behavior:
 // all deques and in-flight behaviors (all worker locks held, in index
 // order, so nothing is in transit), plus the leftovers parked by a stop.
-// A behavior that completes while the snapshot runs may appear in both
-// the frontier and the completed set; replaying it is idempotent (the
-// final-set fingerprint dedup discards the duplicate), so double capture
-// is safe where a missed behavior would not be.
+// Each worker's entries come oldest first — at width 1 exactly the
+// logical stack order. A behavior that completes while the snapshot runs
+// may appear in both the frontier and the completed set; replaying it is
+// idempotent (the final-set fingerprint dedup discards the duplicate), so
+// double capture is safe where a missed behavior would not be.
 func (e *wsEngine) frontierPaths() [][]PathStep {
 	var paths [][]PathStep
 	for _, w := range e.workers {
@@ -649,21 +620,22 @@ func (e *wsEngine) frontierPaths() [][]PathStep {
 	return paths
 }
 
-// completedPaths snapshots the paths of every recorded final execution.
-// Call after frontierPaths when building a checkpoint: a behavior
-// completing between the two scans then shows up in both sets (harmless)
-// rather than in neither (unsound).
-func (e *wsEngine) completedPaths() [][]PathStep {
-	var paths [][]PathStep
-	for i := range e.finals {
-		f := &e.finals[i]
-		f.mu.Lock()
-		for _, x := range f.execs {
-			paths = append(paths, x.Path)
-		}
-		f.mu.Unlock()
+// maybeCheckpoint writes a timed checkpoint if one is due and this worker
+// wins the claim. The frontier is snapshotted before the completed set:
+// a behavior completing between the two scans then shows up in both
+// (harmless) rather than in neither (unsound).
+func (e *wsEngine) maybeCheckpoint() {
+	last := e.lastCkpt.Load()
+	now := int64(time.Since(e.start))
+	if now-last < int64(e.ckpt.Every) || !e.lastCkpt.CompareAndSwap(last, now) {
+		return
 	}
-	return paths
+	frontier := e.frontierPaths()
+	var completed [][]PathStep
+	for _, x := range e.finals.executions() {
+		completed = append(completed, x.Path)
+	}
+	saveTimed(e.ckpt, checkpointNow(e.pol.Name(), e.progHash, e.opts, int(e.explored.Load()), completed, frontier), e.opts)
 }
 
 // hasQueuedWork reports whether any deque holds work, resident or
@@ -704,6 +676,9 @@ func (w *wsWorker) run() {
 		if e.stop.Load() {
 			return
 		}
+		if e.ckpt != nil {
+			e.maybeCheckpoint()
+		}
 		s, path, m := w.pop()
 		if s == nil && path == nil {
 			s, path, m = e.steal(w)
@@ -729,9 +704,9 @@ func (w *wsWorker) run() {
 }
 
 // process runs one behavior to quiescence and either records it as a
-// final execution or forks its children, mirroring the sequential
-// engine. e.pending is decremented for the parent only after the
-// children are pushed, so pending never dips to zero mid-expansion.
+// final execution or forks its children. e.pending is decremented for the
+// parent only after the children are pushed, so pending never dips to
+// zero mid-expansion.
 //
 // A stop observed before the behavior is charged to the budget parks it
 // in the leftover set, so the frontier report loses nothing; a panic
@@ -745,19 +720,18 @@ func (w *wsWorker) process(s *state) {
 		e.addLeftover(s)
 		return
 	}
-	// Synchronous cancellation check, matching the sequential engine's
-	// per-iteration ctx poll: the context-watcher goroutine alone is not
+	// Synchronous cancellation check: the context callback alone is not
 	// prompt enough — a fast enumeration can drain the whole frontier
-	// before the watcher is even scheduled.
+	// before the callback's goroutine is even scheduled.
 	if cerr := e.ctx.Err(); cerr != nil {
 		e.halt(classifyCtxErr(cerr), cerr)
 		e.addLeftover(s)
 		return
 	}
-	// Budget check, unified with the sequential engine: exactly
-	// MaxBehaviors states are processed, the state that would exceed
-	// the budget stays on the frontier, and explored never overshoots
-	// (compare-and-swap, since workers race to claim the last slots).
+	// Budget check: exactly MaxBehaviors states are processed, the state
+	// that would exceed the budget stays on the frontier, and explored
+	// never overshoots (compare-and-swap, since workers race to claim the
+	// last slots).
 	for {
 		cur := e.explored.Load()
 		if cur >= int64(e.opts.MaxBehaviors) {
@@ -787,6 +761,8 @@ func (w *wsWorker) process(s *state) {
 		}
 	}()
 
+	// Phase 1+2 to fixpoint (generation unblocks after branch
+	// resolution, so the two interleave).
 	s.shard = w.idx
 	if err := s.runToQuiescence(); err != nil {
 		if err == errInconsistent {
@@ -804,7 +780,7 @@ func (w *wsWorker) process(s *state) {
 	}
 
 	if s.done() {
-		if e.addFinal(s) {
+		if e.finals.record(s) {
 			if e.met != nil {
 				e.met.Behaviors.Inc(w.idx)
 			}
@@ -814,13 +790,17 @@ func (w *wsWorker) process(s *state) {
 		return
 	}
 
-	// Post-quiescence dedup, with the fork-time self-skip: a state
-	// inserted into the seen-set when it was forked (prefix pruning)
-	// whose key is unchanged after quiescence is not a duplicate of
-	// itself. The parallel engine always keys on fingerprints.
+	// Load–Store-graph dedup (Section 4.1): states reached by resolving
+	// the same loads from the same stores in different orders are
+	// equivalent; explore one representative. The check runs
+	// post-quiescence so that generation unlocked by branch outcomes has
+	// settled — it remains load-bearing with prefix pruning on, because
+	// fork-time keys predate the child's quiescence (the node count can
+	// still grow). A state inserted at fork time whose key is unchanged
+	// must not be discarded as a duplicate of itself.
 	if !e.opts.DisableDedup {
-		h, sig, _ := s.dedupKey(e.sym, false)
-		if !(s.seenKeyed && h == s.seenH) && !e.addSeenKey(h, sig) {
+		h, sig, _ := s.dedupKey(e.sym, e.opts.dedupString)
+		if !e.seen.sameKey(s, h, sig) && !e.seen.insert(h, sig) {
 			w.stats.DuplicatesDiscarded++
 			if e.met != nil {
 				e.met.DedupHits.Inc(w.idx)
@@ -830,15 +810,21 @@ func (w *wsWorker) process(s *state) {
 		}
 	}
 
-	// Load Resolution, mirroring the sequential engine's trial-apply
-	// sweep (see enumerateFrom): with COW on, sibling children are
-	// evaluated in place on the parent and only survivors are forked;
-	// -cow=off keeps the fork-first legacy loop.
+	// Phase 3: Load Resolution. With COW on, sibling children are
+	// evaluated by trial-applying each resolution + closure directly on
+	// the parent and rolling it back in place (state.beginTrial /
+	// graph.BeginTrial): a candidate the closure rejects never pays a
+	// fork, and a surviving child is materialized mid-trial with the
+	// ordinary COW fork. -cow=off keeps the fork-first legacy loop as the
+	// equivalence baseline.
 	var resolveStart time.Time
 	if e.inst {
 		resolveStart = time.Now()
 	}
 	useTrial := !e.opts.DisableCOW
+	// A leaf parent's children are complete behaviors: they are recorded
+	// (or elided as already-recorded finals) during this sweep and never
+	// queued at all.
 	leaf := useTrial && s.leafParent()
 	progressed := false
 	for lid := range s.nodes {
@@ -856,21 +842,30 @@ func (w *wsWorker) process(s *state) {
 			}
 			e.opts.CandidateHook(s.nodes[lid].Label, s.nodes[lid].Addr, labels)
 		}
+		// The load's prior-local-store list depends only on generated
+		// nodes and known addresses — constant across this load's sibling
+		// resolutions, so hoist it out of the candidate loop.
 		var locals []int
 		if useTrial && len(cands) > 0 {
 			locals = s.localPriorStores(lid, true)
 		}
 		for _, sid := range cands {
-			// Fork-time prefix/symmetry pruning priced before any work,
-			// mirroring the sequential engine (see enumerateFrom): the
-			// would-be child's key comes from the parent via childKey,
-			// so duplicates never pay for a fork.
+			// Prefix pruning, priced before any work: childKey derives the
+			// would-be child's canonical key from the parent plus the
+			// (load, store) pair, so a child whose key is already in the
+			// seen-set is dropped without ever being evaluated. Inserting
+			// the key before attempting the resolution is sound — equal
+			// fork-time keys mean identical states, so a child whose
+			// resolution would roll back only ever suppresses twins that
+			// would roll back too. Completeness is unaffected;
+			// CandidateHook has already fired (duplicates never re-fired
+			// it).
 			var h uint64
 			var sig string
 			if e.prefixPrune {
 				var symHit bool
-				h, sig, symHit = s.childKey(e.sym, lid, sid, false)
-				if !e.addSeenKey(h, sig) {
+				h, sig, symHit = s.childKey(e.sym, lid, sid, e.opts.dedupString)
+				if !e.seen.insert(h, sig) {
 					if symHit {
 						w.stats.SymmetryPruned++
 						if e.met != nil {
@@ -929,16 +924,13 @@ func (w *wsWorker) process(s *state) {
 				continue
 			}
 			if leaf && s.done() {
-				// The trial state is the completed child behavior:
-				// check the final set before any fork. Losing the
-				// membership race to a peer is benign — addFinal below
-				// re-checks under the shard lock.
-				fh := s.fingerprint()
-				var fsig string
-				if dedupCollisionCheck {
-					fsig = s.signature()
-				}
-				if e.finalSeen(fh, fsig) {
+				// The trial state IS the completed child behavior, so its
+				// key can be checked against the final set before any
+				// fork: an already-recorded behavior rolls back in place
+				// and the child never exists. Losing the membership race
+				// to a peer is benign — record re-checks under the shard
+				// lock.
+				if e.finals.has(e.finals.stateKey(s)) {
 					s.rollbackTrial(m, false)
 					w.stats.ChildrenElided++
 					if e.met != nil {
@@ -954,7 +946,7 @@ func (w *wsWorker) process(s *state) {
 					e.met.ChildrenElided.Inc(w.idx)
 				}
 				progressed = true
-				if e.addFinal(ns) {
+				if e.finals.record(ns) {
 					if e.met != nil {
 						e.met.Behaviors.Inc(w.idx)
 					}
@@ -986,174 +978,19 @@ func (w *wsWorker) process(s *state) {
 		e.tr.Span("load-resolution", "phase", w.idx, resolveStart)
 	}
 	if !progressed {
+		// No eligible load made progress. With speculation every
+		// candidate of every eligible load may roll back — that just
+		// kills this behavior. Anything else is an engine invariant
+		// violation.
 		if s.hasEligibleLoad() {
 			w.stats.Rollbacks++
 			w.pool.put(s)
 			return
 		}
-		e.setErr(fmt.Errorf("core: enumeration stalled with unresolved loads"))
+		e.setErr(fmt.Errorf("core: enumeration stalled with unresolved loads (model %s)", e.pol.Name()))
 		return
 	}
+	// The children forked above are deep copies; the parent's buffers are
+	// free to recycle.
 	w.pool.put(s)
-}
-
-// collisions returns the collision counter when telemetry is live (nil
-// otherwise; checkCollision's counter is nil-safe).
-func (e *wsEngine) collisions() *telemetry.Counter {
-	if e.met == nil {
-		return nil
-	}
-	return e.met.Collisions
-}
-
-// addSeenKey inserts a canonical Load–Store-graph key into the sharded
-// dedup set, reporting whether it was new. Callers compute the key with
-// state.dedupKey (which supplies the signature for checked builds).
-func (e *wsEngine) addSeenKey(h uint64, sig string) bool {
-	sh := &e.seen[h&(dedupShards-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.seen == nil && sh.spill == nil {
-		if b := e.opts.DedupMemBudget; b > 0 {
-			sh.spill = newSpillStore(b/dedupShards, e.met, e.opts.Journal)
-		} else {
-			sh.seen = map[uint64]struct{}{}
-		}
-	}
-	if dedupCollisionCheck {
-		if sh.guard == nil {
-			sh.guard = map[uint64]string{}
-		}
-		if checkCollision(sh.guard, h, sig, e.collisions()) {
-			// Distinct signature behind a shared fingerprint: explore
-			// it rather than merging it away.
-			return true
-		}
-	}
-	if sh.spill != nil {
-		return sh.spill.insert(h)
-	}
-	if _, dup := sh.seen[h]; dup {
-		return false
-	}
-	sh.seen[h] = struct{}{}
-	return true
-}
-
-// releaseSpill frees every shard's disk-backed tier (no-op without a
-// budget).
-func (e *wsEngine) releaseSpill() {
-	for i := range e.seen {
-		if sp := e.seen[i].spill; sp != nil {
-			sp.release()
-		}
-	}
-}
-
-// seedSeen pre-loads peer fingerprints (Options.SeedSeen) into the
-// sharded dedup set before the workers start. Like keySet.seed, seeds
-// bypass the dedupcheck guard: they carry no signature, and an empty
-// one would poison the guard with spurious collisions.
-func (e *wsEngine) seedSeen(hs []uint64) {
-	for _, h := range hs {
-		sh := &e.seen[h&(dedupShards-1)]
-		if sh.seen == nil && sh.spill == nil {
-			if b := e.opts.DedupMemBudget; b > 0 {
-				sh.spill = newSpillStore(b/dedupShards, e.met, e.opts.Journal)
-			} else {
-				sh.seen = map[uint64]struct{}{}
-			}
-		}
-		if sh.spill != nil {
-			sh.spill.insert(h)
-			continue
-		}
-		sh.seen[h] = struct{}{}
-	}
-}
-
-// exportSeen gathers up to max dedup fingerprints across shards (all
-// when max <= 0); spill-backed shards export their resident hot tier.
-func (e *wsEngine) exportSeen(max int) []uint64 {
-	var out []uint64
-	for i := range e.seen {
-		sh := &e.seen[i]
-		sh.mu.Lock()
-		src := sh.seen
-		if sh.spill != nil {
-			src = sh.spill.hot
-		}
-		for h := range src {
-			if max > 0 && len(out) >= max {
-				sh.mu.Unlock()
-				return out
-			}
-			out = append(out, h)
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// spillDegradations collects every shard's degradation reasons.
-func (e *wsEngine) spillDegradations() []string {
-	var out []string
-	for i := range e.seen {
-		sh := &e.seen[i]
-		sh.mu.Lock()
-		if sh.spill != nil {
-			out = append(out, sh.spill.degraded...)
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// finalSeen reports whether a completed behavior's fingerprint is already
-// recorded, without inserting it — the leaf fork-elision pre-check. Under
-// dedupcheck a colliding fingerprint (different signature) reports false,
-// matching addFinal's treat-as-distinct handling. Racing peers may both
-// see false; addFinal re-checks under the same shard lock.
-func (e *wsEngine) finalSeen(h uint64, sig string) bool {
-	f := &e.finals[h&(dedupShards-1)]
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.seen == nil {
-		return false
-	}
-	if dedupCollisionCheck && f.guard != nil {
-		if prev, ok := f.guard[h]; ok && prev != sig {
-			return false
-		}
-	}
-	_, dup := f.seen[h]
-	return dup
-}
-
-// addFinal records a completed behavior, deduplicating by fingerprint.
-// On success the state's buffers escape into the Execution (do not pool).
-func (e *wsEngine) addFinal(s *state) bool {
-	h := s.fingerprint()
-	f := &e.finals[h&(dedupShards-1)]
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.seen == nil {
-		f.seen = map[uint64]struct{}{}
-	}
-	if dedupCollisionCheck {
-		if f.guard == nil {
-			f.guard = map[uint64]string{}
-		}
-		if checkCollision(f.guard, h, s.signature(), e.collisions()) {
-			// A colliding final is a distinct behavior: record it.
-			f.execs = append(f.execs, s.finish())
-			return true
-		}
-	}
-	if _, dup := f.seen[h]; dup {
-		return false
-	}
-	f.seen[h] = struct{}{}
-	f.execs = append(f.execs, s.finish())
-	return true
 }

@@ -11,6 +11,8 @@ import (
 
 	"storeatomicity/internal/order"
 	"storeatomicity/internal/program"
+	"storeatomicity/internal/randprog"
+	"storeatomicity/internal/telemetry"
 )
 
 // figure10Prog builds Figure 10 for parallel-vs-sequential comparisons.
@@ -91,6 +93,85 @@ func TestParallelSingleWorkerDelegates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq.Stats, par.Stats) {
 		t.Errorf("single-worker stats diverge: %+v vs %+v", seq.Stats, par.Stats)
+	}
+}
+
+// TestWidthOneContracts pins what width 1 promises beyond the behavior
+// set: a MaxBehaviors stop is exact and repeats exactly — the same
+// Incomplete frontier, in the same order, whether or not every queued
+// state is demoted — nothing is stolen, the resident peak is exact, and
+// the live frontier_resident_bytes gauge tracks the queue.
+func TestWidthOneContracts(t *testing.T) {
+	const budget = 40
+	var first *Result
+	var firstLive int64
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"resident", Options{MaxBehaviors: budget}},
+		{"resident again", Options{MaxBehaviors: budget}},
+		{"demoted", Options{MaxBehaviors: budget, FrontierResidentBytes: 1}},
+	} {
+		met := telemetry.NewEnumMetrics(nil)
+		tc.opts.Metrics = met
+		res, err := Enumerate(context.Background(), figure10Prog(), order.Relaxed(), tc.opts)
+		if res == nil || res.Incomplete == nil || res.Incomplete.Reason != ReasonMaxBehaviors {
+			t.Fatalf("%s: err = %v, want a MaxBehaviors stop", tc.name, err)
+		}
+		if res.Stats.StatesExplored != budget || res.Stats.Steals != 0 || res.Stats.Workers != 1 {
+			t.Errorf("%s: explored %d, steals %d, workers %d; want %d, 0, 1",
+				tc.name, res.Stats.StatesExplored, res.Stats.Steals, res.Stats.Workers, budget)
+		}
+		if telemetry.Enabled {
+			// Resident runs stop with resident states queued; the 1-byte
+			// budget has demoted all of them, so its gauge reads lower.
+			live := met.FrontierResident.Value()
+			if demoted := tc.opts.FrontierResidentBytes > 0; (live <= 0) != demoted ||
+				demoted && (res.Stats.FrontierDemoted == 0 || live >= firstLive) {
+				t.Errorf("%s: frontier_resident_bytes = %d (resident run %d), %d states demoted",
+					tc.name, live, firstLive, res.Stats.FrontierDemoted)
+			}
+			if first == nil {
+				firstLive = live
+			}
+			if got := met.FrontierResidentPeak.Value(); got != res.Stats.FrontierResidentPeak {
+				t.Errorf("%s: frontier_resident_peak_bytes = %d, Stats says %d", tc.name, got, res.Stats.FrontierResidentPeak)
+			}
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if !reflect.DeepEqual(res.Incomplete.Frontier, first.Incomplete.Frontier) {
+			t.Errorf("%s: Incomplete.Frontier differs from the first run's", tc.name)
+		}
+		if keysOf(res) != keysOf(first) {
+			t.Errorf("%s: partial behavior set differs from the first run's", tc.name)
+		}
+		if tc.opts.FrontierResidentBytes == 0 && !reflect.DeepEqual(res.Stats, first.Stats) {
+			t.Errorf("%s: stats differ between identical runs: %+v vs %+v", tc.name, res.Stats, first.Stats)
+		}
+	}
+}
+
+// BenchmarkEnumSmallWidthOne measures the per-call cost of a width-1
+// enumeration — engine setup, sets, pool, result assembly — over a few
+// small random programs under a cancellable context, the shape of a
+// corpus sweep or a service miss.
+func BenchmarkEnumSmallWidthOne(b *testing.B) {
+	var progs []*program.Program
+	for seed := int64(0); seed < 8; seed++ {
+		progs = append(progs, randprog.Generate(randprog.Config{Seed: seed, Threads: 2, Ops: 3}))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Enumerate(ctx, progs[i%len(progs)], order.TSO(), Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

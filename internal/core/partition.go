@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"storeatomicity/internal/order"
 	"storeatomicity/internal/program"
@@ -97,7 +96,7 @@ func PartitionFrontier(ctx context.Context, p *program.Program, pol order.Policy
 		}
 		if !progressed && s.hasEligibleLoad() {
 			// Every candidate of every eligible load rolled back: this
-			// behavior dies here, like in the engines.
+			// behavior dies here, like in the engine.
 			continue
 		}
 	}
@@ -108,19 +107,15 @@ func PartitionFrontier(ctx context.Context, p *program.Program, pol order.Policy
 }
 
 // EnumerateShard enumerates the subtree a shard path leads to, exactly
-// as the engine would have processed that state off its work list.
-// workers selects the engine (1 = sequential).
+// as the engine would have processed that state off its work list, at
+// the given width.
 func EnumerateShard(ctx context.Context, p *program.Program, pol order.Policy, opts Options, shard []PathStep, workers int) (*Result, error) {
 	opts = opts.withDefaults()
 	s, err := replayPath(p, pol, opts, shard)
 	if err != nil {
 		return nil, fmt.Errorf("core: shard replay: %w", err)
 	}
-	seed := &resumeSeed{work: []*state{s}}
-	if workers == 1 {
-		return enumerateFrom(ctx, p, pol, opts, seed)
-	}
-	return enumerateParallelFrom(ctx, p, pol, opts, workers, seed)
+	return enumerateParallelFrom(ctx, p, pol, opts, workers, &resumeSeed{work: []*state{s}})
 }
 
 // MergeCompleted folds completed behavior paths — the coordinator's
@@ -128,8 +123,9 @@ func EnumerateShard(ctx context.Context, p *program.Program, pol order.Policy, o
 // canonical Result. Each path is replayed and deduplicated by
 // fingerprint, so cross-shard duplicates collapse; with symmetry on,
 // orbit re-expansion is idempotent over the already-expanded shard
-// results. Executions are sorted by canonical source key, giving a
-// byte-stable merged set independent of shard order and worker count.
+// results. The engine returns the executions in its canonical order (by
+// fingerprint, then source key), so the merged set is byte-stable
+// independent of shard order and worker count.
 func MergeCompleted(ctx context.Context, p *program.Program, pol order.Policy, opts Options, completed [][]PathStep) (*Result, error) {
 	opts = opts.withDefaults()
 	seed := &resumeSeed{}
@@ -143,12 +139,9 @@ func MergeCompleted(ctx context.Context, p *program.Program, pol order.Policy, o
 		}
 		seed.finals = append(seed.finals, s)
 	}
-	res, err := enumerateFrom(ctx, p, pol, opts, seed)
+	res, err := enumerateParallelFrom(ctx, p, pol, opts, 1, seed)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(res.Executions, func(i, j int) bool {
-		return res.Executions[i].SourceKey() < res.Executions[j].SourceKey()
-	})
 	return res, nil
 }

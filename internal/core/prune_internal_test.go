@@ -35,14 +35,22 @@ func TestPrefixPruneStringBaseline(t *testing.T) {
 				t.Fatalf("seed %d %s: stats diverge under prefix pruning: hashed %+v, string %+v",
 					seed, pol.Name(), hashed.Stats, str.Stats)
 			}
-			want := sourceKeySet(str)
-			got := sourceKeySet(hashed)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d %s: behavior sets diverge", seed, pol.Name())
+			// Width 2 has schedule-dependent counters, so only its
+			// behavior set is compared.
+			wide, err := EnumerateParallel(ctx, p, pol, Options{dedupString: true}, 2)
+			if err != nil {
+				t.Fatalf("seed %d %s string width 2: %v", seed, pol.Name(), err)
 			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("seed %d %s: hashed engine missing %q", seed, pol.Name(), k)
+			want := sourceKeySet(str)
+			for name, res := range map[string]*Result{"hashed": hashed, "string width 2": wide} {
+				got := sourceKeySet(res)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d %s: %s behavior set diverges", seed, pol.Name(), name)
+				}
+				for k := range want {
+					if !got[k] {
+						t.Fatalf("seed %d %s: %s engine missing %q", seed, pol.Name(), name, k)
+					}
 				}
 			}
 			if hashed.Stats.PrefixPruned > 0 {

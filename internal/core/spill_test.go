@@ -178,17 +178,18 @@ func TestSpillEquivalence(t *testing.T) {
 // runs with or without the dedupcheck build tag.
 func TestCollisionGuardExploresBoth(t *testing.T) {
 	met := telemetry.NewEnumMetrics(nil)
-	k := newKeySet(Options{Metrics: met}.withDefaults())
-	k.guard = map[uint64]string{}
+	var k shardedSet
+	k.init(1, Options{Metrics: met}.withDefaults(), 0)
+	k.shards[0].guard = map[uint64]string{}
 
 	const h = 0xdeadbeefcafe // the "colliding" FNV-1a fingerprint
-	if !k.insertKey(h, "sigA") {
+	if !k.insert(h, "sigA") {
 		t.Fatal("first signature under the fingerprint not new")
 	}
-	if !k.insertKey(h, "sigB") {
+	if !k.insert(h, "sigB") {
 		t.Fatal("colliding signature was merged away — second state would not be explored")
 	}
-	if k.insertKey(h, "sigA") {
+	if k.insert(h, "sigA") {
 		t.Error("genuine duplicate of the first signature reported new")
 	}
 	if telemetry.Enabled {

@@ -144,8 +144,8 @@ type state struct {
 	prepPermPairs [][][2]int32
 
 	// shard is the metric shard / trace lane for telemetry: the index of
-	// the engine worker currently processing this behavior (0 for the
-	// sequential engine). The owning engine sets it before each
+	// the engine worker currently processing this behavior (0 at width
+	// 1). The owning engine sets it before each
 	// quiescence run; it is never part of the behavior's identity.
 	shard int
 

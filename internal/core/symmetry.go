@@ -11,7 +11,7 @@ import (
 // Symmetry reduction over enumeration states. A program automorphism
 // (internal/program.Automorphisms) maps runs to runs: permuting which
 // thread is which and which address is which turns any execution into
-// another legal execution of the same program. The engines exploit this
+// another legal execution of the same program. The engine exploits this
 // by deduplicating states under a canonical representative — the minimal
 // Load–Store-graph key over the automorphism group — so only one member
 // of each state orbit is explored, and by reconstructing the pruned
@@ -94,7 +94,7 @@ func symImageNodes(nodes []Node, sym *symmetry, sp *symPerm, keys []uint64, ids,
 	}
 	// Insertion sort instead of sort.Slice: node counts are small, the
 	// permuted order is mostly runs of already-sorted blocks, and the
-	// engines call this on every popped state — the reflection and
+	// engine calls this on every popped state — the reflection and
 	// closure allocations of sort.Slice are measurable there.
 	for i := 1; i < n; i++ {
 		for j := i; j > 0 && keys[ids[j]] < keys[ids[j-1]]; j-- {
@@ -117,7 +117,7 @@ func symImageNodes(nodes []Node, sym *symmetry, sp *symPerm, keys []uint64, ids,
 // mapped through it, kept sorted by (image) load ID. dedupKey reads
 // the cache directly, and childKey derives a would-be child's key from
 // it without forking the state. The cache describes the state as of
-// the call; fork invalidates it on the clone, and the engines never
+// the call; fork invalidates it on the clone, and the engine never
 // mutate a popped state between prepDedup and its candidate loop.
 func (s *state) prepDedup(sym *symmetry) {
 	s.prepPairs = s.prepPairs[:0]
@@ -270,7 +270,7 @@ func (s *state) dedupKey(sym *symmetry, useString bool) (h uint64, sig string, s
 // generation) and touches none of the (epoch, class, thread, seq)
 // coordinates node IDs sort by, so the child's key is the parent's with
 // one more (load, source) pair and the parent's image maps apply
-// unchanged. The engines check this key against the seen-set before
+// unchanged. The engine checks this key against the seen-set before
 // paying for the clone; it is byte-identical to what the forked child's
 // own dedupKey would return pre-quiescence.
 func (s *state) childKey(sym *symmetry, lid, src int, useString bool) (h uint64, sig string, symHit bool) {

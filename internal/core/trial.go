@@ -2,7 +2,7 @@ package core
 
 // Trial-apply at the state level: resolve a candidate (load, store) pair
 // and run the Store Atomicity closure directly on the parent state, then
-// roll every side effect back in place. The engines use this to evaluate
+// roll every side effect back in place. The engine uses this to evaluate
 // all sibling children of one quiesced parent against a single graph —
 // see graph/trial.go for the slab-level mechanism and enumerate.go for
 // the sweep.
@@ -82,7 +82,7 @@ func (s *state) rollbackTrial(m trialMark, materialized bool) {
 // exactly one node is unresolved (necessarily the reading node about to
 // be resolved — an unresolved non-reading node would imply a second
 // unresolved node upstream). Children of a leaf parent need no
-// generation, no execution, and no queue round trip: the engines record
+// generation, no execution, and no queue round trip: the engine records
 // them as finals during the sweep, or elide them entirely when their
 // fingerprint is already recorded.
 func (s *state) leafParent() bool {

@@ -400,12 +400,24 @@ func (c *Coordinator) updateFleetLocked() {
 		return
 	}
 	var snaps []telemetry.Snapshot
-	for _, wi := range c.workers {
-		if wi.state == workerLive && wi.snap != nil {
+	for _, id := range c.workerIDsLocked() {
+		if wi := c.workers[id]; wi.state == workerLive && wi.snap != nil {
 			snaps = append(snaps, wi.snap)
 		}
 	}
 	c.cfg.Fleet.Update(snaps)
+}
+
+// workerIDsLocked returns the known worker IDs in sorted order: whatever
+// a loop over workers emits (journal events, ledger rows, the fleet
+// aggregate) must not depend on map iteration order. Caller holds mu.
+func (c *Coordinator) workerIDsLocked() []string {
+	ids := make([]string, 0, len(c.workers))
+	for id := range c.workers {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // checkHash refuses program-hash skew: a worker built from different
@@ -675,7 +687,8 @@ func (c *Coordinator) sweep(now time.Time) {
 	// Classify worker liveness from heartbeat silence: live → missed past
 	// ~2 intervals, missed → lost past the 3-heartbeat lease TTL. Each
 	// transition journals once; any contact revives the worker (touch).
-	for id, wi := range c.workers {
+	for _, id := range c.workerIDsLocked() {
+		wi := c.workers[id]
 		silent := now.Sub(wi.lastSeen)
 		switch wi.state {
 		case workerLive:
@@ -750,7 +763,8 @@ func (c *Coordinator) Status() StatusResponse {
 		}
 		st.ShardTable = append(st.ShardTable, row)
 	}
-	for id, wi := range c.workers {
+	for _, id := range c.workerIDsLocked() {
+		wi := c.workers[id]
 		row := WorkerLedger{
 			ID:         id,
 			State:      wi.state.String(),
@@ -763,9 +777,6 @@ func (c *Coordinator) Status() StatusResponse {
 		}
 		st.WorkerTable = append(st.WorkerTable, row)
 	}
-	sort.Slice(st.WorkerTable, func(i, j int) bool {
-		return st.WorkerTable[i].ID < st.WorkerTable[j].ID
-	})
 	if c.met != nil && c.met.ShardNs != nil && c.met.ShardNs.Count() > 0 {
 		st.ShardLatency = &LatencySummary{
 			P50Ms: c.met.ShardNs.Quantile(0.50) / 1e6,

@@ -51,8 +51,8 @@ type JobSpec struct {
 	// options — the same key internal/serve memoizes by); a worker whose
 	// build disagrees is refused (version skew).
 	ProgramHash uint64 `json:"program_hash"`
-	// Prune/COW/DedupMem carry the engine flag grammars (cli.ApplyPrune
-	// and friends) so every worker runs the same configuration.
+	// Prune/COW/DedupMem carry the engine flag grammars (cli.EngineFlags)
+	// so every worker runs the same configuration.
 	Prune    string `json:"prune,omitempty"`
 	COW      string `json:"cow,omitempty"`
 	DedupMem string `json:"dedup_mem,omitempty"`
@@ -80,16 +80,8 @@ func (j *JobSpec) Resolve() (*litmus.Test, litmus.Model, core.Options, error) {
 	if !ok {
 		return nil, litmus.Model{}, opts, fmt.Errorf("dist: unknown model %q", j.Model)
 	}
-	if err := cli.ApplyPrune(&opts, j.Prune); err != nil {
-		return nil, litmus.Model{}, opts, fmt.Errorf("dist: job spec: %w", err)
-	}
-	if err := cli.ApplyCOW(&opts, j.COW); err != nil {
-		return nil, litmus.Model{}, opts, fmt.Errorf("dist: job spec: %w", err)
-	}
-	if err := cli.ApplyDedupMem(&opts, j.DedupMem); err != nil {
-		return nil, litmus.Model{}, opts, fmt.Errorf("dist: job spec: %w", err)
-	}
-	if err := cli.ApplyFrontierResident(&opts, j.FrontierResident); err != nil {
+	ef := cli.EngineFlags{Prune: j.Prune, COW: j.COW, DedupMem: j.DedupMem, FrontierResident: j.FrontierResident}
+	if err := ef.Apply(&opts); err != nil {
 		return nil, litmus.Model{}, opts, fmt.Errorf("dist: job spec: %w", err)
 	}
 	opts.MaxNodes = j.MaxNodes

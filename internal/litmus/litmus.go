@@ -107,14 +107,11 @@ func RunParallel(t *Test, m Model, workers int) (*core.Result, error) {
 }
 
 // RunContext enumerates the test under ctx with caller-supplied options
-// (the model configuration overrides opts.Speculative); workers == 1 uses
-// the sequential engine. Cancellation, deadlines, and budgets return
-// partial results with Result.Incomplete set — see core.Enumerate.
+// (the model configuration overrides opts.Speculative) at the given engine
+// width. Cancellation, deadlines, and budgets return partial results with
+// Result.Incomplete set — see core.Enumerate.
 func RunContext(ctx context.Context, t *Test, m Model, opts core.Options, workers int) (*core.Result, error) {
 	opts.Speculative = m.Speculative
-	if workers == 1 {
-		return core.Enumerate(ctx, t.Build(), m.Policy, opts)
-	}
 	return core.EnumerateParallel(ctx, t.Build(), m.Policy, opts, workers)
 }
 

@@ -302,10 +302,10 @@ func (s *Server) resolve(req *EnumRequest) (*litmus.Test, litmus.Model, core.Opt
 
 // ComputeBody runs the enumeration and renders the canonical response
 // body for the given resolved request. Exported so mmload's -verify
-// mode can build the local sequential oracle a server response must be
+// mode can build the local width-1 oracle a server response must be
 // bit-identical to. cacheable reports whether the body is a pure
-// function of the key (complete, or budget-truncated by the
-// deterministic sequential engine).
+// function of the key (complete, or budget-truncated by the engine at
+// width 1, whose exploration order is deterministic).
 func ComputeBody(ctx context.Context, t *litmus.Test, m litmus.Model, opts core.Options, workers int, fp uint64) (body []byte, cacheable bool, err error) {
 	res, rerr := litmus.RunContext(ctx, t, m, opts, workers)
 	if rerr != nil && res == nil {
@@ -316,9 +316,9 @@ func ComputeBody(ctx context.Context, t *litmus.Test, m litmus.Model, opts core.
 		reason = string(res.Incomplete.Reason)
 		switch res.Incomplete.Reason {
 		case core.ReasonMaxBehaviors, core.ReasonMaxNodes:
-			// Budget stops are deterministic only for the sequential
-			// engine (workers == 1): the paper's procedure explores a
-			// fixed order, so "the first N behaviors" is well-defined.
+			// Budget stops are deterministic only at width 1
+			// (workers == 1): the paper's procedure explores a fixed
+			// order, so "the first N behaviors" is well-defined.
 		default:
 			// Cancellation/deadline truncation depends on wall clock —
 			// never cache, never pretend it is canonical.

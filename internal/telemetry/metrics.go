@@ -17,9 +17,8 @@ var (
 	stateNsBounds = []int64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 )
 
-// EnumMetrics instruments the enumeration engines (sequential and
-// work-stealing). All methods are nil-safe; shard is the worker index
-// (0 for the sequential engine).
+// EnumMetrics instruments the enumeration engine at any width. All
+// methods are nil-safe; shard is the worker index (0 at width 1).
 type EnumMetrics struct {
 	reg *Registry
 
