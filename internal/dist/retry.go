@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"sync"
 	"time"
 
 	"storeatomicity/internal/telemetry"
@@ -29,6 +30,10 @@ type Backoff struct {
 	// (default 5). The attempt that exhausts it returns the last error.
 	Max int
 
+	// mu guards rng: a worker's heartbeat goroutine and its lease loop
+	// retry through the same Backoff, and a rand.Rand is not safe for
+	// concurrent use.
+	mu  sync.Mutex
 	rng *rand.Rand
 }
 
@@ -53,7 +58,10 @@ func (b *Backoff) delay(attempt int) time.Duration {
 	if d > b.Cap || d <= 0 { // <= 0 guards shift overflow
 		d = b.Cap
 	}
-	return time.Duration(float64(d) * (0.5 + b.rng.Float64()))
+	b.mu.Lock()
+	jitter := b.rng.Float64()
+	b.mu.Unlock()
+	return time.Duration(float64(d) * (0.5 + jitter))
 }
 
 // transientError wraps a retryable failure so callers can distinguish

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -53,6 +55,37 @@ func TestBackoffJitterIsSeeded(t *testing.T) {
 	}
 	if !varies {
 		t.Error("distinct seeds produced identical schedules")
+	}
+}
+
+// TestBackoffConcurrentDelay: a worker's heartbeat goroutine and its
+// lease loop share one Backoff, so delay must be safe to call from
+// several goroutines (run under -race), and together they still draw
+// exactly the seeded schedule.
+func TestBackoffConcurrentDelay(t *testing.T) {
+	const goroutines, calls = 4, 64
+	ref := NewBackoff(0, 0, 0, 9)
+	want := make([]time.Duration, goroutines*calls)
+	for i := range want {
+		want[i] = ref.delay(0)
+	}
+	b := NewBackoff(0, 0, 0, 9)
+	got := make([]time.Duration, goroutines*calls)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(part []time.Duration) {
+			defer wg.Done()
+			for i := range part {
+				part[i] = b.delay(0)
+			}
+		}(got[g*calls : (g+1)*calls])
+	}
+	wg.Wait()
+	slices.Sort(want)
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatal("concurrent callers drew a different multiset of delays than the seeded schedule")
 	}
 }
 

@@ -6,24 +6,24 @@ import (
 	"sync/atomic"
 )
 
-// The memo cache: a sharded LRU keyed by the canonical request
-// fingerprint (core.ProgramFingerprint), holding finished canonical
-// response bodies under a global byte budget, with per-key single-flight
-// so a burst of identical misses costs one enumeration.
+// The memo cache: one LRU keyed by the canonical request fingerprint
+// (core.ProgramFingerprint), holding finished canonical response bodies
+// under one byte budget, with per-key single-flight so a burst of
+// identical misses costs one enumeration.
 //
-// Sharding serves two masters: lock contention (16 independent mutexes
-// instead of one) and eviction locality (each shard runs its own LRU
-// under budget/16, so a hot shard cannot starve the others' recency
-// information). The fingerprint is already uniformly mixed FNV-1a, so
-// the low bits pick the shard directly.
+// The budget is not split into shards picked by fingerprint bits: the
+// FNV-1a prime is 3 mod 16 and each listing byte enters as a 64-bit
+// word, so fp%16 is a constant XOR the low nibbles of the listing's
+// bytes, whole program families land in one shard, and a per-shard
+// budget thrashes there while the other shards sit empty. One mutex
+// guards the list, the map and the flights; a hit holds it for one map
+// lookup and one list move (BenchmarkCacheGet measures that under
+// contention).
 
-const (
-	cacheShards = 16
-	// entryOverhead approximates the per-entry bookkeeping (map slot,
-	// list element, entry struct) charged against the byte budget on top
-	// of the body itself.
-	entryOverhead = 96
-)
+// entryOverhead approximates the per-entry bookkeeping (map slot, list
+// element, entry struct) charged against the byte budget on top of the
+// body itself.
+const entryOverhead = 96
 
 // flight is one in-progress enumeration that concurrent identical
 // requests wait on instead of re-enumerating (single-flight).
@@ -41,20 +41,18 @@ type cacheEntry struct {
 	body []byte
 }
 
-type cacheShard struct {
+// Cache is the fingerprint-keyed memo cache. All counters are plain
+// atomics (not telemetry) so /status works in -tags notelemetry builds;
+// the server mirrors them into a telemetry bundle when one is live.
+// bytes and entries change only under mu, so they are exact there and
+// Stats can read them without it.
+type Cache struct {
+	budget int64 // 0 = unbounded
+
 	mu     sync.Mutex
 	lru    *list.List // front = most recently used; values are *cacheEntry
 	byFP   map[uint64]*list.Element
 	flight map[uint64]*flight
-	bytes  int64
-}
-
-// Cache is the fingerprint-keyed memo cache. All counters are plain
-// atomics (not telemetry) so /status works in -tags notelemetry builds;
-// the server mirrors them into a telemetry bundle when one is live.
-type Cache struct {
-	shards      [cacheShards]cacheShard
-	shardBudget int64 // 0 = unbounded
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -68,90 +66,66 @@ type Cache struct {
 // NewCache builds a cache holding at most budget bytes of response
 // bodies (plus bookkeeping overhead); budget <= 0 means unbounded.
 func NewCache(budget int64) *Cache {
-	c := &Cache{}
-	if budget > 0 {
-		c.shardBudget = budget / cacheShards
-		if c.shardBudget < 1 {
-			c.shardBudget = 1
-		}
+	return &Cache{
+		budget: max(budget, 0),
+		lru:    list.New(),
+		byFP:   make(map[uint64]*list.Element),
+		flight: make(map[uint64]*flight),
 	}
-	for i := range c.shards {
-		c.shards[i].lru = list.New()
-		c.shards[i].byFP = make(map[uint64]*list.Element)
-		c.shards[i].flight = make(map[uint64]*flight)
-	}
-	return c
 }
-
-func (c *Cache) shard(fp uint64) *cacheShard { return &c.shards[fp%cacheShards] }
 
 // Get returns the cached body for fp, promoting it to most recently
 // used. The returned slice is shared — callers must not mutate it.
 func (c *Cache) Get(fp uint64) ([]byte, bool) {
-	s := c.shard(fp)
-	s.mu.Lock()
-	el, ok := s.byFP[fp]
-	if !ok {
-		s.mu.Unlock()
+	body, ok := c.peek(fp)
+	if ok {
+		c.hits.Add(1)
+	} else {
 		c.misses.Add(1)
-		return nil, false
 	}
-	s.lru.MoveToFront(el)
-	body := el.Value.(*cacheEntry).body
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return body, true
+	return body, ok
 }
 
 // peek is Get without the hit/miss accounting — the flight leader's
 // double-check after winning the race, which already counted its miss.
-func (c *Cache) peek(fp uint64) ([]byte, bool) {
-	s := c.shard(fp)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.byFP[fp]
-	if !ok {
-		return nil, false
+func (c *Cache) peek(fp uint64) (body []byte, ok bool) {
+	c.mu.Lock()
+	el, ok := c.byFP[fp]
+	if ok {
+		c.lru.MoveToFront(el)
+		body = el.Value.(*cacheEntry).body
 	}
-	s.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	c.mu.Unlock()
+	return body, ok
 }
 
 // Put inserts fp → body, evicting least-recently-used entries until the
-// shard fits its budget. A body larger than the whole shard budget is
-// not cached at all (it would only evict everything and then itself);
-// Put reports whether the entry was admitted.
+// cache fits its budget. A body larger than the whole budget is not
+// cached at all (it would only evict everything and then itself); Put
+// reports whether the entry was admitted.
 func (c *Cache) Put(fp uint64, body []byte) bool {
 	size := int64(len(body)) + entryOverhead
-	if c.shardBudget > 0 && size > c.shardBudget {
+	if c.budget > 0 && size > c.budget {
 		c.oversize.Add(1)
 		return false
 	}
-	s := c.shard(fp)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.byFP[fp]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byFP[fp]; ok {
 		// A racing leader already cached this key; keep the incumbent
 		// (the bodies are bit-identical by construction).
-		s.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 		return true
 	}
-	for c.shardBudget > 0 && s.bytes+size > c.shardBudget {
-		tail := s.lru.Back()
-		if tail == nil {
-			break
-		}
-		victim := tail.Value.(*cacheEntry)
-		s.lru.Remove(tail)
-		delete(s.byFP, victim.fp)
-		vsize := int64(len(victim.body)) + entryOverhead
-		s.bytes -= vsize
-		c.bytes.Add(-vsize)
+	// size <= budget, so the loop stops before the list runs dry.
+	for c.budget > 0 && c.bytes.Load()+size > c.budget {
+		victim := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+		delete(c.byFP, victim.fp)
+		c.bytes.Add(-(int64(len(victim.body)) + entryOverhead))
 		c.entries.Add(-1)
 		c.evictions.Add(1)
 	}
-	s.byFP[fp] = s.lru.PushFront(&cacheEntry{fp: fp, body: body})
-	s.bytes += size
+	c.byFP[fp] = c.lru.PushFront(&cacheEntry{fp: fp, body: body})
 	c.bytes.Add(size)
 	c.entries.Add(1)
 	return true
@@ -162,17 +136,16 @@ func (c *Cache) Put(fp uint64, body []byte) bool {
 // completed flight (its done channel already closed by the leader) and
 // are counted as coalesced.
 func (c *Cache) Begin(fp uint64) (f *flight, leader bool) {
-	s := c.shard(fp)
-	s.mu.Lock()
-	if f, ok := s.flight[fp]; ok {
-		s.mu.Unlock()
+	c.mu.Lock()
+	if f, ok := c.flight[fp]; ok {
+		c.mu.Unlock()
 		c.coalesced.Add(1)
 		<-f.done
 		return f, false
 	}
 	f = &flight{done: make(chan struct{})}
-	s.flight[fp] = f
-	s.mu.Unlock()
+	c.flight[fp] = f
+	c.mu.Unlock()
 	return f, true
 }
 
@@ -180,10 +153,9 @@ func (c *Cache) Begin(fp uint64) (f *flight, leader bool) {
 // flight, so later requests go back through the cache.
 func (c *Cache) Finish(fp uint64, f *flight, status int, body []byte, retryAfter int) {
 	f.status, f.body, f.retryAfter = status, body, retryAfter
-	s := c.shard(fp)
-	s.mu.Lock()
-	delete(s.flight, fp)
-	s.mu.Unlock()
+	c.mu.Lock()
+	delete(c.flight, fp)
+	c.mu.Unlock()
 	close(f.done)
 }
 
@@ -197,7 +169,7 @@ func (c *Cache) Stats() CacheStats {
 		Oversize:  c.oversize.Load(),
 		Entries:   c.entries.Load(),
 		Bytes:     c.bytes.Load(),
-		Budget:    c.shardBudget * cacheShards,
+		Budget:    c.budget,
 	}
 }
 

@@ -235,7 +235,7 @@ func TestServerRecoversFromTornFlush(t *testing.T) {
 // that holds only a few bodies evicts the cold tail, never exceeds its
 // byte budget, and refuses oversize bodies outright.
 func TestCacheEvictionUnderBudget(t *testing.T) {
-	c := NewCache(16 << 10) // 1 KiB per shard
+	c := NewCache(16 << 10)
 	body := []byte(strings.Repeat("x", 300))
 	for i := 0; i < 200; i++ {
 		c.Put(uint64(i), body)
@@ -247,9 +247,9 @@ func TestCacheEvictionUnderBudget(t *testing.T) {
 	if st.Bytes > 16<<10 {
 		t.Fatalf("resident bytes %d exceed the 16 KiB budget", st.Bytes)
 	}
-	// An oversize body (bigger than a whole shard budget) is served but
+	// An oversize body (bigger than the whole budget) is served but
 	// never admitted.
-	big := []byte(strings.Repeat("y", 2<<10))
+	big := []byte(strings.Repeat("y", 17<<10))
 	c.Put(999999, big)
 	if _, ok := c.Get(999999); ok {
 		t.Fatalf("oversize body was admitted to the cache")

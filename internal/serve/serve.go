@@ -23,7 +23,7 @@
 //   - single-flight: concurrent identical misses coalesce onto one
 //     enumeration (the serve_cache_coalesced_total counter counts the
 //     riders);
-//   - sharded LRU memo cache under a -cache-mem byte budget (cache.go);
+//   - one LRU memo cache under the -cache-mem byte budget (cache.go);
 //   - write-behind batched NDJSON persistence (journal.go): flush by
 //     count or interval, one file write per batch, checksummed records,
 //     replay-and-compact on startup so a restart warms the cache.

@@ -127,9 +127,10 @@ func TestServeChurnBitIdentical(t *testing.T) {
 	for _, name := range corpus {
 		want[name] = oracle(t, name, "TSO", 0)
 	}
-	// A budget small enough that the corpus cannot fit: continuous
-	// eviction (or oversize refusal) churn while requests race.
-	s := startServer(t, Config{CacheBytes: 8 << 10, MaxInflight: 8})
+	// A budget a third the size of the corpus (6.2 KB of TSO bodies and
+	// entry overhead), so entries churn while requests race, and below
+	// IRIW's 2.1 KB entry, so that one is refused as oversize.
+	s := startServer(t, Config{CacheBytes: 2 << 10, MaxInflight: 8})
 
 	const workers = 8
 	const perWorker = 40
@@ -175,8 +176,8 @@ func TestServeChurnBitIdentical(t *testing.T) {
 		}
 	}
 	st := s.StatusSnapshot()
-	if st.Cache.Evictions+st.Cache.Oversize == 0 {
-		t.Fatalf("no budget pressure observed (evictions %d, oversize %d) — the churn test churned nothing; shrink the budget",
+	if st.Cache.Evictions == 0 || st.Cache.Oversize == 0 {
+		t.Fatalf("evictions %d, oversize %d: the churn test must both evict and refuse an oversize body",
 			st.Cache.Evictions, st.Cache.Oversize)
 	}
 }
