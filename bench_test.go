@@ -43,6 +43,11 @@ func enumBench(b *testing.B, test, model string, opts core.Options) {
 		b.Fatalf("unknown model %s", model)
 	}
 	opts.Speculative = m.Speculative
+	timeEnum(b, tc, m, opts)
+}
+
+// timeEnum enumerates tc under m with opts once per iteration.
+func timeEnum(b *testing.B, tc *litmus.Test, m litmus.Model, opts core.Options) {
 	var behaviors int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -405,38 +410,16 @@ func BenchmarkOracleVsEngineSC(b *testing.B) {
 	})
 }
 
-// --- The enumeration hot path across every experiment (E1–E12) ---
+// --- The enumeration hot path across every experiment (E2–E15) ---
 
-// enumSuite names the (experiment, test, model) triples whose cost is
-// dominated by core.Enumerate. `go test -bench Enum -benchmem` runs
-// exactly this family plus the parallel scaling benchmarks below;
-// cmd/mmbench snapshots the same set into BENCH_enum.json.
-var enumSuite = []struct {
-	exp, test, model string
-}{
-	{"E2", "Figure3", "Relaxed"},
-	{"E3", "Figure4", "Relaxed"},
-	{"E4", "Figure5", "Relaxed"},
-	{"E5", "Figure7", "Relaxed"},
-	{"E6", "Figure8", "Relaxed+spec"},
-	{"E7", "Figure10", "TSO"},
-	{"E8", "Figure10", "Relaxed"},
-	{"E9", "IRIW", "Relaxed"},
-	{"E10", "MP", "Relaxed"},
-	{"E11", "SB", "TSO"},
-	{"E12", "LB", "Relaxed"},
-	// E13/E14 are the heavy rotation-symmetric entries: three-thread
-	// cyclic store buffering and its two-loads-per-thread widening.
-	// Their state spaces are dominated by converging prefixes and orbit
-	// twins, which is exactly what the pruning layers remove.
-	{"E13", "SB3", "Relaxed"},
-	{"E14", "SB3W", "Relaxed"},
-}
-
+// BenchmarkEnum times exactly what TestEnumCounts pins: every enumSuite
+// entry at width 1 under the entry's options. `go test -bench Enum
+// -benchmem` runs this family plus the parallel scaling benchmarks below.
 func BenchmarkEnum(b *testing.B) {
 	for _, s := range enumSuite {
-		b.Run(s.exp+"_"+s.test+"_"+s.model, func(b *testing.B) {
-			enumBench(b, s.test, s.model, core.Options{})
+		b.Run(s.name(), func(b *testing.B) {
+			tc, m, opts := s.setup(b)
+			timeEnum(b, tc, m, opts)
 		})
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"storeatomicity/internal/cli"
 	"storeatomicity/internal/core"
 	"storeatomicity/internal/serve"
-	"storeatomicity/internal/telemetry"
 )
 
 func main() {
@@ -89,7 +88,6 @@ func main() {
 		TimeoutCap:      *timeout,
 		EngineWorkers:   *workers,
 		Opts:            opts,
-		Metrics:         telemetry.NewServeMetrics(tel.Registry()),
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mmserve: %v\n", err)

@@ -22,7 +22,6 @@ import (
 // -dedup-mem and -frontier-resident; mmworker inherits its options from
 // the coordinator's job and mmobs never enumerates at all.
 var engineFlags = map[string]struct{ registers, prune bool }{
-	"mmbench":  {true, true},
 	"mmcoord":  {true, true},
 	"mmenum":   {true, true},
 	"mmfuzz":   {true, true},

@@ -63,11 +63,11 @@ type Options struct {
 	// path replay when popped or stolen. Resident memory becomes
 	// O(window) instead of O(frontier) and the behavior set is
 	// bit-identical at any worker count — demotion/revival preserves the
-	// exact exploration order. 0 (the default) never demotes; a negative
-	// value picks an automatic budget (~1024 resident states at the
-	// MaxNodes ceiling); the budget is split evenly across the workers. Composes with DedupMemBudget: together they bound
-	// the two structures that grow with the search rather than with the
-	// program.
+	// exact exploration order. 0 (the default) never demotes. A negative
+	// value picks an automatic budget of about 1024 resident states at
+	// the MaxNodes ceiling. The budget is split evenly across the
+	// workers. Together with DedupMemBudget it bounds the two structures
+	// that grow with the search rather than with the program.
 	FrontierResidentBytes int64
 	// DisablePrefixPrune turns off fork-time prefix-state dedup: children
 	// are then only checked against the seen-set after their next

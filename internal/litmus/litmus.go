@@ -14,6 +14,7 @@ import (
 
 	"fmt"
 	"sort"
+	"sync"
 
 	"storeatomicity/internal/core"
 	"storeatomicity/internal/order"
@@ -150,12 +151,19 @@ func Registry() []*Test {
 	return all
 }
 
-// ByName returns the registered test with the given name.
-func ByName(name string) (*Test, bool) {
+// byName indexes one Registry() by test name, built on first use.
+var byName = sync.OnceValue(func() map[string]*Test {
+	idx := map[string]*Test{}
 	for _, t := range Registry() {
-		if t.Name == name {
-			return t, true
-		}
+		idx[t.Name] = t
 	}
-	return nil, false
+	return idx
+})
+
+// ByName returns the registered test with the given name. Unlike
+// Registry, it hands every caller the same *Test, which callers must not
+// modify.
+func ByName(name string) (*Test, bool) {
+	t, ok := byName()[name]
+	return t, ok
 }

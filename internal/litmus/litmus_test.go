@@ -70,3 +70,20 @@ func TestNonSpeculativeNeverRollsBack(t *testing.T) {
 		}
 	}
 }
+
+// TestByNameIndex: ByName finds every registered test, and serves
+// lookups from an index built once instead of rebuilding the registry
+// per call (mmserve looks a test up on every registry-name request).
+func TestByNameIndex(t *testing.T) {
+	for _, tc := range Registry() {
+		if got, ok := ByName(tc.Name); !ok || got.Name != tc.Name {
+			t.Errorf("ByName(%q) = %v, %v", tc.Name, got, ok)
+		}
+	}
+	if _, ok := ByName("NoSuchTest"); ok {
+		t.Error("ByName found an unregistered name")
+	}
+	if n := testing.AllocsPerRun(100, func() { ByName("SB") }); n != 0 {
+		t.Errorf("ByName allocates %v times per call, want 0", n)
+	}
+}

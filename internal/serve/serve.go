@@ -43,7 +43,6 @@ import (
 
 	"storeatomicity/internal/core"
 	"storeatomicity/internal/litmus"
-	"storeatomicity/internal/telemetry"
 )
 
 // Endpoint paths.
@@ -89,9 +88,6 @@ type Config struct {
 	// (pruning, COW, dedup budget, telemetry hooks). Behavior-set
 	// fields (Speculative, budgets) are overwritten per request.
 	Opts core.Options
-	// Metrics, when non-nil, mirrors the serve counters into a
-	// telemetry registry (nil-safe; /status works without it).
-	Metrics *telemetry.ServeMetrics
 }
 
 func (c Config) withDefaults() Config {
@@ -377,8 +373,6 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 
 	if body, ok := s.cache.Get(fp); ok {
 		s.hitLat.Observe(time.Since(started).Nanoseconds())
-		s.mirror()
-		s.cfg.Metrics.ObserveHit(time.Since(started).Nanoseconds())
 		writeBody(w, http.StatusOK, "hit", body)
 		return
 	}
@@ -387,7 +381,6 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	if !leader {
 		// The leader finished between our Get and Begin, or we rode its
 		// flight; either way its outcome is ours.
-		s.cfg.Metrics.Coalesce()
 		writeFlight(w, f)
 		return
 	}
@@ -397,7 +390,6 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	if body, ok := s.cache.peek(fp); ok {
 		s.cache.Finish(fp, f, http.StatusOK, body, 0)
 		s.hitLat.Observe(time.Since(started).Nanoseconds())
-		s.mirror()
 		writeBody(w, http.StatusOK, "hit", body)
 		return
 	}
@@ -405,10 +397,8 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	case s.sem <- struct{}{}:
 	default:
 		s.rejected.Add(1)
-		s.cfg.Metrics.Reject()
 		s.cache.Finish(fp, f, http.StatusTooManyRequests,
 			[]byte("busy: all enumeration slots in flight\n"), 1)
-		s.mirror()
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "busy: all enumeration slots in flight", http.StatusTooManyRequests)
 		return
@@ -433,7 +423,6 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		msg := "enumeration failed: " + err.Error() + "\n"
 		s.cache.Finish(fp, f, http.StatusGatewayTimeout, []byte(msg), 0)
-		s.mirror()
 		http.Error(w, msg, http.StatusGatewayTimeout)
 		return
 	}
@@ -445,8 +434,6 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cache.Finish(fp, f, http.StatusOK, body, 0)
 	s.missLat.Observe(time.Since(started).Nanoseconds())
-	s.mirror()
-	s.cfg.Metrics.ObserveMiss(time.Since(started).Nanoseconds())
 	writeBody(w, http.StatusOK, "miss", body)
 }
 
@@ -511,10 +498,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(s.StatusSnapshot())
 }
 
-// handleMetrics writes the serve counters in Prometheus text format
-// from the plain atomics, so /metrics is complete even in -tags
-// notelemetry builds (the telemetry mirror additionally feeds any
-// -metrics-addr registry).
+// handleMetrics writes the serve counters in Prometheus text format.
+// It renders the same snapshot as /status, from the server's own
+// atomics, so the two endpoints always agree and /metrics is complete
+// in every build, -tags notelemetry included.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.StatusSnapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -544,17 +531,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "%s{quantile=\"0.95\"} %.0f\n", c.name, c.l.P95Ns)
 		fmt.Fprintf(w, "%s{quantile=\"0.99\"} %.0f\n", c.name, c.l.P99Ns)
 		fmt.Fprintf(w, "%s_count %d\n", c.name, c.l.Count)
-	}
-}
-
-// mirror pushes the atomic counters into the telemetry bundle (gauges
-// for point-in-time values; nil-safe no-op without a bundle).
-func (s *Server) mirror() {
-	cs := s.cache.Stats()
-	s.cfg.Metrics.SetCacheState(cs.Evictions, cs.Entries, cs.Bytes)
-	if s.store != nil {
-		js := s.store.Stats()
-		s.cfg.Metrics.SetJournalState(js.LogicalWrites, js.DBCalls)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -337,5 +339,98 @@ func TestServeWarmRestart(t *testing.T) {
 	}
 	if st := s2.StatusSnapshot(); st.Cache.Misses != 0 {
 		t.Fatalf("warm server missed %d times, want 0", st.Cache.Misses)
+	}
+}
+
+// TestServeMetricsMatchStatus: after a timed-out request (504), a miss
+// and a hit, every serve_* series appears exactly once in /metrics,
+// with the value /status reports for it.
+func TestServeMetricsMatchStatus(t *testing.T) {
+	// FlushOps 1 makes each journal append write through before the
+	// response, so no background flush moves a counter between scrapes.
+	s := startServer(t, Config{StorePath: filepath.Join(t.TempDir(), "m.ndjson"), FlushOps: 1})
+	slow := EnumRequest{Litmus: slowLitmus(6), Model: "Relaxed", TimeoutMillis: 1}
+	if _, _, code := postEnum(t, s.Addr(), slow); code != http.StatusGatewayTimeout {
+		t.Fatalf("slow request: code %d, want 504", code)
+	}
+	for _, want := range []string{"miss", "hit"} {
+		if class, _, code := postEnum(t, s.Addr(), EnumRequest{Test: "SB", Model: "TSO"}); code != http.StatusOK || class != want {
+			t.Fatalf("SB/TSO: code %d class %q, want 200 %q", code, class, want)
+		}
+	}
+	get := func(path string) []byte {
+		resp, err := http.Get("http://" + s.Addr() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return b
+	}
+	metrics := get(PathMetrics)
+	var st Status
+	if err := json.Unmarshal(get(PathStatus), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache.Hits != 1 || st.Cache.Misses != 2 || st.Journal == nil {
+		t.Fatalf("status: hits %d misses %d journal %v, want 1, 2 and a journal", st.Cache.Hits, st.Cache.Misses, st.Journal)
+	}
+	want := map[string]float64{
+		"serve_cache_hits_total":             float64(st.Cache.Hits),
+		"serve_cache_misses_total":           float64(st.Cache.Misses),
+		"serve_cache_coalesced_total":        float64(st.Cache.Coalesced),
+		"serve_cache_evictions_total":        float64(st.Cache.Evictions),
+		"serve_cache_oversize_total":         float64(st.Cache.Oversize),
+		"serve_cache_entries":                float64(st.Cache.Entries),
+		"serve_cache_bytes":                  float64(st.Cache.Bytes),
+		"serve_requests_total":               float64(st.Requests),
+		"serve_rejected_total":               float64(st.Rejected),
+		"serve_inflight":                     float64(st.Inflight),
+		"serve_journal_logical_writes_total": float64(st.Journal.LogicalWrites),
+		"serve_journal_db_calls_total":       float64(st.Journal.DBCalls),
+		"serve_journal_flushes_total":        float64(st.Journal.Flushes),
+		"serve_journal_replayed_total":       float64(st.Journal.Replayed),
+		"serve_journal_dropped_total":        float64(st.Journal.Dropped),
+	}
+	for _, l := range []struct {
+		name string
+		sum  LatencySummary
+	}{{"serve_hit_latency_ns", st.HitLatency}, {"serve_miss_latency_ns", st.MissLatency}} {
+		want[l.name+`{quantile="0.5"}`] = l.sum.P50Ns
+		want[l.name+`{quantile="0.95"}`] = l.sum.P95Ns
+		want[l.name+`{quantile="0.99"}`] = l.sum.P99Ns
+		want[l.name+"_count"] = float64(l.sum.Count)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(metrics)), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || !strings.HasPrefix(line, "serve_") {
+			t.Errorf("unexpected /metrics line %q", line)
+			continue
+		}
+		name := line[:i]
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		w, ok := want[name]
+		switch {
+		case !ok:
+			t.Errorf("%s: in /metrics but not in /status", name)
+		case seen[name]:
+			t.Errorf("%s: appears more than once", name)
+		case v != w:
+			t.Errorf("%s: /metrics says %v, /status says %v", name, v, w)
+		}
+		seen[name] = true
+	}
+	for name := range want {
+		if !seen[name] {
+			t.Errorf("%s: in /status but missing from /metrics", name)
+		}
 	}
 }

@@ -90,7 +90,7 @@ type EnumMetrics struct {
 	CheckpointNs *Histogram
 	// StateNs is the per-state settle latency (one work item's
 	// quiescence pass) — its exported quantiles are the engine's tail
-	// latency in BENCH_enum.json.
+	// latency in bench/'s core.state_us_p50 and core.state_us_p99.
 	StateNs *Histogram
 }
 
@@ -283,114 +283,6 @@ func (m *DistMetrics) Snapshot() Snapshot {
 		return nil
 	}
 	return m.reg.Snapshot()
-}
-
-// ServeMetrics instruments the enumeration service's memo cache and
-// write-behind journal (internal/serve). The serve package keeps its
-// authoritative counters as plain atomics so /status survives -tags
-// notelemetry; this bundle is the mirror that folds them into a
-// registry for -metrics-addr scrapers. All methods are nil-safe.
-type ServeMetrics struct {
-	reg *Registry
-
-	Hits      *Counter
-	Misses    *Counter
-	Coalesced *Counter
-	Evictions *Gauge
-	Entries   *Gauge
-	Bytes     *Gauge
-	Rejected  *Counter
-
-	JournalWrites *Gauge
-	JournalCalls  *Gauge
-
-	HitNs  *Histogram
-	MissNs *Histogram
-}
-
-// NewServeMetrics registers the serve metric set on reg (a private
-// registry when reg is nil). Returns nil when telemetry is compiled out.
-func NewServeMetrics(reg *Registry) *ServeMetrics {
-	if !Enabled {
-		return nil
-	}
-	if reg == nil {
-		reg = NewRegistry()
-	}
-	m := &ServeMetrics{reg: reg}
-	m.Hits = reg.NewCounter("serve_cache_hits_total", "requests answered from the memo cache")
-	m.Misses = reg.NewCounter("serve_cache_misses_total", "requests that enumerated (or led a flight)")
-	m.Coalesced = reg.NewCounter("serve_cache_coalesced_total", "requests that rode another request's in-flight enumeration")
-	m.Rejected = reg.NewCounter("serve_rejected_total", "requests refused by admission control (429)")
-	m.Evictions = reg.NewGauge("serve_cache_evictions", "entries evicted by the LRU byte budget")
-	m.Entries = reg.NewGauge("serve_cache_entries", "entries resident in the memo cache")
-	m.Bytes = reg.NewGauge("serve_cache_bytes", "bytes resident in the memo cache")
-	m.JournalWrites = reg.NewGauge("serve_journal_logical_writes", "cache entries handed to the write-behind journal")
-	m.JournalCalls = reg.NewGauge("serve_journal_db_calls", "file writes the journal actually issued (batching ratio denominator)")
-	m.HitNs = reg.NewHistogramMetric("serve_hit_ns", "cache-hit response latency", latencyNsBounds)
-	m.MissNs = reg.NewHistogramMetric("serve_miss_ns", "cache-miss (full enumeration) response latency", latencyNsBounds)
-	return m
-}
-
-// ObserveHit records a cache-hit response (nil-safe).
-func (m *ServeMetrics) ObserveHit(ns int64) {
-	if !Enabled || m == nil {
-		return
-	}
-	m.Hits.Inc(0)
-	m.HitNs.Observe(ns)
-}
-
-// ObserveMiss records a full-enumeration response (nil-safe).
-func (m *ServeMetrics) ObserveMiss(ns int64) {
-	if !Enabled || m == nil {
-		return
-	}
-	m.Misses.Inc(0)
-	m.MissNs.Observe(ns)
-}
-
-// Coalesce records a request served by riding another's flight.
-func (m *ServeMetrics) Coalesce() {
-	if !Enabled || m == nil {
-		return
-	}
-	m.Coalesced.Inc(0)
-}
-
-// Reject records an admission-control refusal.
-func (m *ServeMetrics) Reject() {
-	if !Enabled || m == nil {
-		return
-	}
-	m.Rejected.Inc(0)
-}
-
-// SetCacheState mirrors the cache's point-in-time shape (nil-safe).
-func (m *ServeMetrics) SetCacheState(evictions, entries, bytes int64) {
-	if !Enabled || m == nil {
-		return
-	}
-	m.Evictions.Set(evictions)
-	m.Entries.Set(entries)
-	m.Bytes.Set(bytes)
-}
-
-// SetJournalState mirrors the journal's write counters (nil-safe).
-func (m *ServeMetrics) SetJournalState(logicalWrites, dbCalls int64) {
-	if !Enabled || m == nil {
-		return
-	}
-	m.JournalWrites.Set(logicalWrites)
-	m.JournalCalls.Set(dbCalls)
-}
-
-// Registry returns the registry backing the bundle (nil-safe).
-func (m *ServeMetrics) Registry() *Registry {
-	if !Enabled || m == nil {
-		return nil
-	}
-	return m.reg
 }
 
 // fleetKeys maps each dist_fleet_* gauge to the worker-snapshot key it

@@ -188,7 +188,7 @@ func (h *Histogram) Sum() int64 {
 // Snapshot is a flat point-in-time view of a registry: metric name (with
 // histogram buckets flattened to name_le_<bound>, plus name_sum and
 // name_count) to value. It is what the Incomplete report, checkpoint
-// files, and BENCH_enum.json embed.
+// files, and fleet heartbeats embed.
 type Snapshot map[string]int64
 
 // metricKind tags a registry entry for Prometheus type lines.
