@@ -424,24 +424,15 @@ func BenchmarkEnum(b *testing.B) {
 	}
 }
 
-// --- Ablation: the three search-pruning layers on/off ---
+// --- The engine against the reference engine ---
 
-// BenchmarkPruning A/Bs the fully pruned engine (incremental closure +
-// prefix dedup + symmetry) against the unpruned baseline on the heavy
+// BenchmarkPruning times the engine (incremental closure, prefix and
+// symmetry pruning, copy-on-write trial-apply forks) against
+// core.EnumerateReference, which runs none of those layers, on the heavy
 // symmetric entries. The behavior sets are bit-identical (enforced by
-// TestPruningBitIdentical*); only the explored state count and the
-// wall-clock differ.
+// TestPruningBitIdentical* and TestCOWBitIdentical*); only the explored
+// state count, allocations and wall-clock differ.
 func BenchmarkPruning(b *testing.B) {
-	configs := []struct {
-		name string
-		opts core.Options
-	}{
-		{"pruned", core.Options{Symmetry: true}},
-		{"closure", core.Options{DisablePrefixPrune: true}},
-		{"prefix", core.Options{DisableIncrementalClosure: true}},
-		{"symmetry", core.Options{DisableIncrementalClosure: true, DisablePrefixPrune: true, Symmetry: true}},
-		{"unpruned", core.Options{DisableIncrementalClosure: true, DisablePrefixPrune: true}},
-	}
 	for _, s := range []struct {
 		test, model string
 	}{
@@ -450,53 +441,27 @@ func BenchmarkPruning(b *testing.B) {
 		{"IRIW", "Relaxed"},
 		{"Figure10", "Relaxed"},
 	} {
-		for _, c := range configs {
-			b.Run(s.test+"_"+s.model+"/"+c.name, func(b *testing.B) {
-				benchPrune(b, s.test, s.model, c.opts)
-			})
-		}
-	}
-}
-
-func benchPrune(b *testing.B, test, model string, opts core.Options) {
-	tc, _ := litmus.ByName(test)
-	m, _ := litmus.ModelByName(model)
-	opts.Speculative = m.Speculative
-	var states int
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := core.Enumerate(context.Background(), tc.Build(), m.Policy, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		states = res.Stats.StatesExplored
-	}
-	b.ReportMetric(float64(states), "states/op")
-}
-
-// BenchmarkCOW A/Bs copy-on-write closure sharing against the deep-copy
-// fork path (-cow=off) on the fork-heavy entries. Behavior sets are
-// bit-identical (enforced by TestCOWBitIdenticalLitmus); only allocation
-// volume and wall-clock differ.
-func BenchmarkCOW(b *testing.B) {
-	for _, s := range []struct {
-		test, model string
-	}{
-		{"MP", "Relaxed"},
-		{"Figure10", "Relaxed"},
-		{"SB3", "Relaxed"},
-		{"SB3W", "Relaxed"},
-	} {
 		for _, c := range []struct {
 			name string
-			opts core.Options
+			run  func(context.Context, *program.Program, order.Policy, core.Options) (*core.Result, error)
 		}{
-			{"cow", core.Options{}},
-			{"deep", core.Options{DisableCOW: true}},
+			{"engine", core.Enumerate},
+			{"reference", core.EnumerateReference},
 		} {
 			b.Run(s.test+"_"+s.model+"/"+c.name, func(b *testing.B) {
+				tc, _ := litmus.ByName(s.test)
+				m, _ := litmus.ModelByName(s.model)
+				opts := core.Options{Speculative: m.Speculative}
+				var states int
 				b.ReportAllocs()
-				enumBench(b, s.test, s.model, c.opts)
+				for i := 0; i < b.N; i++ {
+					res, err := c.run(context.Background(), tc.Build(), m.Policy, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					states = res.Stats.StatesExplored
+				}
+				b.ReportMetric(float64(states), "states/op")
 			})
 		}
 	}

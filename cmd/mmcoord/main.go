@@ -54,7 +54,7 @@ func main() {
 		sources   = flag.Bool("sources", false, "print load→store source assignments, not just values")
 	)
 	var tel cli.Telemetry
-	engine := cli.RegisterEngineFlags("each worker", true)
+	engine := cli.RegisterEngineFlags("each worker")
 	tel.RegisterFlags()
 	flag.Parse()
 
@@ -80,8 +80,6 @@ func main() {
 	job := dist.JobSpec{
 		Test:             flag.Arg(0),
 		Model:            *model,
-		Prune:            engine.Prune,
-		COW:              engine.COW,
 		DedupMem:         engine.DedupMem,
 		FrontierResident: engine.FrontierResident,
 	}

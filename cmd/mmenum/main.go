@@ -52,7 +52,7 @@ func main() {
 		resume    = flag.Bool("resume", false, "seed the run from the -checkpoint file instead of starting fresh")
 	)
 	var tel cli.Telemetry
-	engine := cli.RegisterEngineFlags("", true)
+	engine := cli.RegisterEngineFlags("")
 	tel.RegisterFlags()
 	tel.RegisterProgressFlag()
 	flag.Parse()

@@ -1,7 +1,8 @@
 // Command mmfuzz runs the differential fuzzer from the command line:
 // generate random programs, enumerate them under the model chain, and
-// cross-check the serialization search, the post-hoc checker, and the
-// operational machines against the enumerator.
+// cross-check the reference engine (core.EnumerateReference), the
+// serialization search, the post-hoc checker, and the operational
+// machines against the enumerator.
 //
 // Usage:
 //
@@ -46,7 +47,7 @@ func main() {
 		verbose  = flag.Bool("v", false, "print per-program statistics")
 	)
 	var tel cli.Telemetry
-	engine := cli.RegisterEngineFlags("the engine under test", true)
+	engine := cli.RegisterEngineFlags("the engine under test")
 	tel.RegisterFlags()
 	tel.RegisterProgressFlag()
 	flag.Parse()
@@ -58,8 +59,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mmfuzz: %v\n", err)
 		os.Exit(2)
 	}
-	var pruneOpts core.Options
-	if err := engine.Apply(&pruneOpts); err != nil {
+	var engineOpts core.Options
+	if err := engine.Apply(&engineOpts); err != nil {
 		fmt.Fprintf(os.Stderr, "mmfuzz: %v\n", err)
 		os.Exit(2)
 	}
@@ -80,7 +81,7 @@ func main() {
 	for i := 0; i < *n; i++ {
 		seed := *seed0 + int64(i)
 		p := randprog.Generate(randprog.Config{Seed: seed, Threads: *threads, Ops: *ops})
-		if !fuzzOne(ctx, p, seed, chain, *workers, faultsBase, pruneOpts, &tel, *verbose, &totalBehaviors) {
+		if !fuzzOne(ctx, p, seed, chain, *workers, faultsBase, engineOpts, &tel, *verbose, &totalBehaviors) {
 			tel.StopProgress()
 			fmt.Printf("mmfuzz: stopped early (%v) after %d of %d programs; no discrepancy in %d behaviors\n",
 				ctx.Err(), done, *n, totalBehaviors)
@@ -98,20 +99,15 @@ func main() {
 // panic anywhere in the checking pipeline is recovered into a bug report
 // carrying the program and seed.
 func fuzzOne(ctx context.Context, p *program.Program, seed int64, chain []order.Policy,
-	workers int, faultsBase *coherence.FaultConfig, pruneOpts core.Options, tel *cli.Telemetry, verbose bool, totalBehaviors *int) bool {
+	workers int, faultsBase *coherence.FaultConfig, engineOpts core.Options, tel *cli.Telemetry, verbose bool, totalBehaviors *int) bool {
 	defer func() {
 		if r := recover(); r != nil {
 			fail(p, seed, "checker panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	opts := pruneOpts
+	opts := engineOpts
 	opts.MaxBehaviors = 1 << 22
 	opts.Metrics, opts.Tracer, opts.Journal = tel.Enum(), tel.Tracer(), tel.Journal()
-	// The baseline engine runs with every trick off: no pruning layers
-	// AND deep-copy forks. A default fuzz run therefore cross-checks
-	// COW+pruned against deep-copy+unpruned on every program, and a
-	// divergence feeds the same shrinker either way.
-	plainOpts := core.Options{DisableIncrementalClosure: true, DisablePrefixPrune: true, DisableCOW: true, MaxBehaviors: 1 << 22}
 	var prev map[string]bool
 	for _, pol := range chain {
 		res, err := core.Enumerate(ctx, p, pol, opts)
@@ -121,20 +117,21 @@ func fuzzOne(ctx context.Context, p *program.Program, seed int64, chain []order.
 			}
 			fail(p, seed, "%s: %v", pol.Name(), err)
 		}
-		// Engine soundness: the behavior set under pruning + COW forks
-		// must be bit-identical to the deep-copy unpruned engine's. A
-		// mismatch is a pruning or aliasing bug; shrink the program
-		// before reporting it.
-		plain, err := core.Enumerate(ctx, p, pol, plainOpts)
+		// Engine soundness: the engine's behavior set must be
+		// bit-identical to the reference engine's (no pruning layers,
+		// deep-copy forks, in-memory seen-set and frontier). A mismatch
+		// is a pruning or aliasing bug; shrink the program before
+		// reporting it.
+		ref, err := core.EnumerateReference(ctx, p, pol, referenceOpts)
 		if err != nil {
 			if ctx.Err() != nil {
 				return false
 			}
-			fail(p, seed, "%s unpruned: %v", pol.Name(), err)
+			fail(p, seed, "%s reference: %v", pol.Name(), err)
 		}
-		if diff := behaviorDiff(res, plain); diff != "" {
-			min := minimizeMismatch(ctx, p, pol, opts, plainOpts)
-			fail(min, seed, "%s: engine diverged from the deep-copy unpruned baseline (%s; %d prefix-pruned, %d symmetry-pruned, %d rows copied); minimized repro below",
+		if diff := behaviorDiff(res, ref); diff != "" {
+			min := minimizeMismatch(ctx, p, pol, opts)
+			fail(min, seed, "%s: engine diverged from the reference engine (%s; %d prefix-pruned, %d symmetry-pruned, %d rows copied); minimized repro below",
 				pol.Name(), diff, res.Stats.PrefixPruned, res.Stats.SymmetryPruned, res.Stats.CowRowsCopied)
 		}
 		if workers > 1 {
@@ -210,45 +207,48 @@ func fuzzOne(ctx context.Context, p *program.Program, seed int64, chain []order.
 	return ctx.Err() == nil
 }
 
-// behaviorDiff compares two results' behavior sets and describes the
-// first divergence ("" when identical).
-func behaviorDiff(pruned, plain *core.Result) string {
-	ps := map[string]bool{}
-	for _, e := range pruned.Executions {
-		ps[e.SourceKey()] = true
+// referenceOpts run the reference engine in memory under the fuzz budget.
+var referenceOpts = core.Options{MaxBehaviors: 1 << 22}
+
+// behaviorDiff compares the engine's and the reference engine's
+// behavior sets and describes the first divergence ("" when identical).
+func behaviorDiff(got, ref *core.Result) string {
+	gs := map[string]bool{}
+	for _, e := range got.Executions {
+		gs[e.SourceKey()] = true
 	}
-	for _, e := range plain.Executions {
-		if !ps[e.SourceKey()] {
-			return fmt.Sprintf("pruned run missing behavior %q", e.SourceKey())
+	for _, e := range ref.Executions {
+		if !gs[e.SourceKey()] {
+			return fmt.Sprintf("engine missing behavior %q", e.SourceKey())
 		}
 	}
-	if len(pruned.Executions) != len(plain.Executions) {
-		return fmt.Sprintf("pruned run has %d behaviors, unpruned %d", len(pruned.Executions), len(plain.Executions))
+	if len(got.Executions) != len(ref.Executions) {
+		return fmt.Sprintf("engine has %d behaviors, reference %d", len(got.Executions), len(ref.Executions))
 	}
 	return ""
 }
 
-// pruneMismatch reports whether pruned and unpruned enumeration of p
-// disagree. Errors count as "no mismatch" so the minimizer never trades
-// a soundness repro for a crashing candidate.
-func pruneMismatch(ctx context.Context, p *program.Program, pol order.Policy, prunedOpts, plainOpts core.Options) bool {
-	pruned, err := core.Enumerate(ctx, p, pol, prunedOpts)
+// refMismatch reports whether the engine and the reference engine
+// disagree on p. Errors count as "no mismatch" so the minimizer never
+// trades a soundness repro for a crashing candidate.
+func refMismatch(ctx context.Context, p *program.Program, pol order.Policy, opts core.Options) bool {
+	got, err := core.Enumerate(ctx, p, pol, opts)
 	if err != nil {
 		return false
 	}
-	plain, err := core.Enumerate(ctx, p, pol, plainOpts)
+	ref, err := core.EnumerateReference(ctx, p, pol, referenceOpts)
 	if err != nil {
 		return false
 	}
-	return behaviorDiff(pruned, plain) != ""
+	return behaviorDiff(got, ref) != ""
 }
 
 // minimizeMismatch greedily deletes instructions (and then empty
-// threads) while the pruned-vs-unpruned divergence persists, so the
+// threads) while the engine-vs-reference divergence persists, so the
 // repro attached to the failure is as small as the greedy pass can make
 // it. Programs with branches are returned untouched — deleting an
 // instruction would shift branch targets.
-func minimizeMismatch(ctx context.Context, p *program.Program, pol order.Policy, prunedOpts, plainOpts core.Options) *program.Program {
+func minimizeMismatch(ctx context.Context, p *program.Program, pol order.Policy, opts core.Options) *program.Program {
 	for _, t := range p.Threads {
 		for _, in := range t.Instrs {
 			if in.Kind == program.KindBranch {
@@ -264,7 +264,7 @@ func minimizeMismatch(ctx context.Context, p *program.Program, pol order.Policy,
 				cand := cloneProgram(cur)
 				instrs := cand.Threads[ti].Instrs
 				cand.Threads[ti].Instrs = append(instrs[:ii:ii], instrs[ii+1:]...)
-				if pruneMismatch(ctx, cand, pol, prunedOpts, plainOpts) {
+				if refMismatch(ctx, cand, pol, opts) {
 					cur = cand
 					changed = true
 					ii--

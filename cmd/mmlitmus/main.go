@@ -29,7 +29,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the whole matrix")
 	)
 	var tel cli.Telemetry
-	engine := cli.RegisterEngineFlags("", false)
+	engine := cli.RegisterEngineFlags("")
 	tel.RegisterFlags()
 	flag.Parse()
 
@@ -44,8 +44,8 @@ func main() {
 		return
 	}
 
-	var cowOpts core.Options
-	if err := engine.Apply(&cowOpts); err != nil {
+	var engineOpts core.Options
+	if err := engine.Apply(&engineOpts); err != nil {
 		fmt.Fprintf(os.Stderr, "mmlitmus: %v\n", err)
 		os.Exit(2)
 	}
@@ -69,7 +69,7 @@ func main() {
 		var bad []string
 		var cells []string
 		for _, m := range models {
-			opts := cowOpts
+			opts := engineOpts
 			opts.Metrics, opts.Tracer, opts.Journal = tel.Enum(), tel.Tracer(), tel.Journal()
 			res, err := litmus.RunContext(ctx, tc, m, opts, 1)
 			if err != nil {

@@ -146,7 +146,7 @@ func main() {
 		synthLds = flag.Int("synthetic-loads", 2, "loads per thread in synthetic programs")
 	)
 	var tel cli.Telemetry
-	engine := cli.RegisterEngineFlags("the -verify oracle", true)
+	engine := cli.RegisterEngineFlags("the -verify oracle")
 	tel.RegisterFlags()
 	flag.Parse()
 	if *addr == "" {

@@ -35,7 +35,7 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "wall-clock budget for the enumeration")
 	)
 	var tel cli.Telemetry
-	engine := cli.RegisterEngineFlags("", false)
+	engine := cli.RegisterEngineFlags("")
 	tel.RegisterFlags()
 	flag.Parse()
 	if flag.NArg() != 1 {

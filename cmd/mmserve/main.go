@@ -7,7 +7,7 @@
 //
 //	mmserve [-addr HOST:PORT] [-cache-mem BYTES] [-store FILE]
 //	        [-max-inflight N] [-max-behaviors N] [-timeout DUR]
-//	        [-workers N] [-prune SPEC] [-cow on|off] [-dedup-mem BYTES]
+//	        [-workers N] [-dedup-mem BYTES] [-frontier-resident BYTES]
 //
 // Endpoints:
 //
@@ -52,7 +52,7 @@ func main() {
 		workers  = flag.Int("workers", 1, "engine width per enumeration (1 = sequential; keeps budget-stopped responses deterministic and cacheable)")
 	)
 	var tel cli.Telemetry
-	engine := cli.RegisterEngineFlags("each enumeration", true)
+	engine := cli.RegisterEngineFlags("each enumeration")
 	tel.RegisterFlags()
 	flag.Parse()
 	if flag.NArg() != 0 {

@@ -36,7 +36,7 @@ func main() {
 		faults  = flag.String("faults", "", "inject coherence bus faults (\"on\" or delay=P,reorder=P,retry=P,stall=N,retries=N,seed=N)")
 	)
 	var tel cli.Telemetry
-	engine := cli.RegisterEngineFlags("the model enumeration", false)
+	engine := cli.RegisterEngineFlags("the model enumeration")
 	tel.RegisterFlags()
 	flag.Parse()
 	if flag.NArg() != 1 {

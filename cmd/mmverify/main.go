@@ -51,7 +51,7 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "wall-clock budget for the -demo enumeration")
 	)
 	var tel cli.Telemetry
-	engine := cli.RegisterEngineFlags("the -demo enumeration", false)
+	engine := cli.RegisterEngineFlags("the -demo enumeration")
 	tel.RegisterFlags()
 	flag.Parse()
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"text/tabwriter"
 
-	"storeatomicity/internal/cli"
 	"storeatomicity/internal/core"
 	"storeatomicity/internal/litmus"
 	"storeatomicity/internal/program"
@@ -65,9 +64,9 @@ var enumSuite = []suiteEntry{
 func (s suiteEntry) name() string { return s.exp + "_" + s.test + "_" + s.model }
 
 // setup resolves the entry's test and model and builds its options: the
-// command-line tools' defaults (every pruning layer, copy-on-write forks,
-// an unbounded seen-set, the automatic frontier budget), which are also
-// the options bench/'s workloads start from.
+// command-line tools' defaults (an unbounded seen-set, the automatic
+// frontier budget), which are also the options bench/'s workloads start
+// from.
 func (s suiteEntry) setup(tb testing.TB) (*litmus.Test, litmus.Model, core.Options) {
 	tb.Helper()
 	tc, ok := litmus.ByName(s.test)
@@ -81,11 +80,7 @@ func (s suiteEntry) setup(tb testing.TB) (*litmus.Test, litmus.Model, core.Optio
 	if !ok {
 		tb.Fatalf("unknown model %s", s.model)
 	}
-	var opts core.Options
-	if err := cli.ApplyPrune(&opts, cli.PruneAll); err != nil {
-		tb.Fatal(err)
-	}
-	opts.FrontierResidentBytes = -1
+	opts := core.Options{FrontierResidentBytes: -1}
 	if s.frontierBytes != 0 {
 		opts.FrontierResidentBytes = s.frontierBytes
 	}
@@ -97,8 +92,9 @@ func (s suiteEntry) setup(tb testing.TB) (*litmus.Test, litmus.Model, core.Optio
 // buffering grown to four threads, each storing its own address and
 // loading the other three (16 memory operations, three candidate stores
 // per load). Deliberately NOT in the litmus registry: Registry() feeds
-// the corpus sweeps that enumerate every unpruned configuration, and
-// this program is sized to be tractable only with the pruning layers on.
+// the corpus sweeps that also run the reference engine, which has no
+// pruning layers, and this program is sized to be tractable only with
+// them.
 func sb4w() *litmus.Test {
 	addrs := []program.Addr{program.X, program.Y, program.Z, program.W}
 	build := func() *program.Program {

@@ -1,8 +1,9 @@
-// Package cli holds the graceful-degradation plumbing shared by the
-// seven command-line tools: signal-aware contexts with optional
-// deadlines, rendering of partial-result reports, and the -faults flag
-// grammar. It keeps every tool's behavior uniform — Ctrl-C or a blown
-// -timeout prints what was found so far instead of discarding it.
+// Package cli holds the plumbing shared by the ten command-line tools
+// that import it (every cmd/ binary except mmobs): signal-aware contexts
+// with optional deadlines, rendering of partial-result reports, the
+// engine and telemetry flag registrations, and the -faults flag grammar.
+// It keeps every tool's behavior uniform — Ctrl-C or a blown -timeout
+// prints what was found so far instead of discarding it.
 package cli
 
 import (
@@ -62,63 +63,21 @@ func ReportIncomplete(w io.Writer, tool string, err error) bool {
 	return true
 }
 
-// PruneAll is the -prune default: every search-pruning layer on.
+// PruneAll names the engine's pruning layers in the grammar of the
+// removed -prune flag. The engine always runs all of them; PruneAll and
+// ApplyPrune remain only for callers that still name them.
 const PruneAll = "closure,prefix,symmetry"
 
-// ApplyPrune parses the -prune flag grammar into opts. The spec is a
-// comma-separated subset of the three pruning layers:
-//
-//	closure   incremental worklist Store Atomicity closure
-//	prefix    fork-time prefix-state dedup
-//	symmetry  thread/address symmetry reduction
-//
-// "all" is shorthand for every layer; "off" or "none" (or an empty spec)
-// disables them all, reproducing the unpruned engine. Layers not named
-// are disabled, so -prune=prefix really means prefix only. Every
-// combination yields the identical behavior set — the knob trades setup
-// cost against search-space reduction and exists for A/B measurement
-// and for bisecting a suspected pruning bug.
+// ApplyPrune accepts a spec in the removed -prune grammar only if it
+// names the one configuration the engine runs ("", "all" or PruneAll)
+// and refuses any other: the engine can no longer turn pruning layers
+// off. It sets nothing in opts.
 func ApplyPrune(opts *core.Options, spec string) error {
-	opts.DisableIncrementalClosure = true
-	opts.DisablePrefixPrune = true
-	opts.Symmetry = false
-	spec = strings.TrimSpace(spec)
-	switch spec {
-	case "", "off", "none":
-		return nil
-	case "all":
-		spec = PruneAll
-	}
-	for _, layer := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(layer) {
-		case "closure":
-			opts.DisableIncrementalClosure = false
-		case "prefix":
-			opts.DisablePrefixPrune = false
-		case "symmetry":
-			opts.Symmetry = true
-		case "":
-		default:
-			return fmt.Errorf("unknown -prune layer %q (want closure, prefix, symmetry, all, or off)", layer)
-		}
-	}
-	return nil
-}
-
-// ApplyCOW parses the -cow flag into opts. "on" (the default) forks
-// states by copy-on-write closure sharing; "off" forces deep-copy forks
-// — the escape hatch if a COW bug is suspected, and the baseline for
-// A/B memory measurement. Both modes yield the identical behavior set.
-func ApplyCOW(opts *core.Options, spec string) error {
 	switch strings.TrimSpace(spec) {
-	case "", "on":
-		opts.DisableCOW = false
-	case "off":
-		opts.DisableCOW = true
-	default:
-		return fmt.Errorf("unknown -cow mode %q (want on or off)", spec)
+	case "", "all", PruneAll:
+		return nil
 	}
-	return nil
+	return fmt.Errorf("prune %q: the -prune flag was removed; every run uses all pruning layers (%s)", spec, PruneAll)
 }
 
 // ParseBytes parses the byte-budget flag grammar shared by -dedup-mem
@@ -186,34 +145,25 @@ func ApplyFrontierResident(opts *core.Options, spec string) error {
 	return nil
 }
 
-// EngineFlags holds the four engine knobs in their flag grammars: -prune
-// (ApplyPrune), -cow (ApplyCOW), -dedup-mem (ApplyDedupMem) and
-// -frontier-resident (ApplyFrontierResident). RegisterEngineFlags is the
-// one registration every tool uses; dist.JobSpec carries the same strings
-// to workers and applies them through Apply.
+// EngineFlags holds the engine's two memory budgets in their flag
+// grammars: -dedup-mem (ApplyDedupMem) and -frontier-resident
+// (ApplyFrontierResident). RegisterEngineFlags is the one registration
+// every tool uses; dist.JobSpec carries the same strings to workers and
+// applies them through Apply.
 type EngineFlags struct {
-	Prune, COW, DedupMem, FrontierResident string
-	// noPrune marks a tool without -prune: Apply then leaves the pruning
-	// options at their zero values instead of parsing an empty spec as
-	// "off".
-	noPrune bool
+	DedupMem, FrontierResident string
 }
 
 // RegisterEngineFlags registers the engine flags on the default flag set
 // with their canonical names and defaults. scope, when non-empty, names
 // what the flags configure in the help text (for example "the -verify
-// oracle"); withPrune also registers -prune, which tools without a
-// pruning A/B story omit.
-func RegisterEngineFlags(scope string, withPrune bool) *EngineFlags {
-	f := &EngineFlags{noPrune: !withPrune}
+// oracle").
+func RegisterEngineFlags(scope string) *EngineFlags {
+	f := &EngineFlags{}
 	of := ""
 	if scope != "" {
 		of = " for " + scope
 	}
-	if withPrune {
-		flag.StringVar(&f.Prune, "prune", PruneAll, "search-pruning layers"+of+": comma-separated subset of closure,prefix,symmetry; all; off")
-	}
-	flag.StringVar(&f.COW, "cow", "on", "copy-on-write closure sharing"+of+": on or off (deep-copy forks)")
 	flag.StringVar(&f.DedupMem, "dedup-mem", "off", "seen-set memory budget"+of+" (bytes; k/m/g suffix) — overflow spills to disk; off = unbounded in-memory")
 	flag.StringVar(&f.FrontierResident, "frontier-resident", "auto", "resident frontier budget"+of+" (bytes; k/m/g suffix) — overflow demotes to compressed replay paths; auto sizes from the node ceiling; off = keep everything resident")
 	return f
@@ -221,14 +171,6 @@ func RegisterEngineFlags(scope string, withPrune bool) *EngineFlags {
 
 // Apply parses every flag into opts, stopping at the first bad spec.
 func (f *EngineFlags) Apply(opts *core.Options) error {
-	if !f.noPrune {
-		if err := ApplyPrune(opts, f.Prune); err != nil {
-			return err
-		}
-	}
-	if err := ApplyCOW(opts, f.COW); err != nil {
-		return err
-	}
 	if err := ApplyDedupMem(opts, f.DedupMem); err != nil {
 		return err
 	}

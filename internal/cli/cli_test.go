@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"storeatomicity/internal/core"
@@ -32,6 +34,32 @@ func TestApplyDedupMem(t *testing.T) {
 		}
 		if !c.err && opts.DedupMemBudget != c.want {
 			t.Errorf("ApplyDedupMem(%q) = %d, want %d", c.spec, opts.DedupMemBudget, c.want)
+		}
+	}
+}
+
+// TestApplyPrune: the removed -prune grammar survives only for callers
+// that still name the production configuration; it accepts that
+// configuration, refuses every layer subset by naming the removed flag,
+// and never touches the options.
+func TestApplyPrune(t *testing.T) {
+	for _, spec := range []string{"", "all", PruneAll, " all "} {
+		var opts core.Options
+		if err := ApplyPrune(&opts, spec); err != nil {
+			t.Errorf("ApplyPrune(%q) = %v, want nil", spec, err)
+		}
+		if !reflect.DeepEqual(opts, core.Options{}) {
+			t.Errorf("ApplyPrune(%q) set options: %+v", spec, opts)
+		}
+	}
+	for _, spec := range []string{"off", "none", "closure", "closure,prefix", "symmetry"} {
+		var opts core.Options
+		err := ApplyPrune(&opts, spec)
+		if err == nil || !strings.Contains(err.Error(), "-prune flag was removed") {
+			t.Errorf("ApplyPrune(%q) = %v, want an error naming the removed -prune flag", spec, err)
+		}
+		if !reflect.DeepEqual(opts, core.Options{}) {
+			t.Errorf("ApplyPrune(%q) set options: %+v", spec, opts)
 		}
 	}
 }

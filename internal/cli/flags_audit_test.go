@@ -15,24 +15,22 @@ import (
 // hand-rolled flag would still pass any behavioral test that only
 // exercises the happy path.
 
-// engineFlags says which binaries register the engine flags, and whether
-// with -prune. Binaries that enumerate locally take all four; binaries
-// that only replay or embed a single enumeration (mmlitmus, mmrace,
-// mmsim, mmverify) have no pruning A/B story but still honor -cow,
-// -dedup-mem and -frontier-resident; mmworker inherits its options from
-// the coordinator's job and mmobs never enumerates at all.
-var engineFlags = map[string]struct{ registers, prune bool }{
-	"mmcoord":  {true, true},
-	"mmenum":   {true, true},
-	"mmfuzz":   {true, true},
-	"mmload":   {true, true},
-	"mmserve":  {true, true},
-	"mmlitmus": {true, false},
-	"mmrace":   {true, false},
-	"mmsim":    {true, false},
-	"mmverify": {true, false},
-	"mmworker": {false, false},
-	"mmobs":    {false, false},
+// engineFlags says which binaries register the engine flags (-dedup-mem
+// and -frontier-resident). Every binary that enumerates locally takes
+// them; mmworker inherits its options from the coordinator's job and
+// mmobs never enumerates at all.
+var engineFlags = map[string]bool{
+	"mmcoord":  true,
+	"mmenum":   true,
+	"mmfuzz":   true,
+	"mmload":   true,
+	"mmserve":  true,
+	"mmlitmus": true,
+	"mmrace":   true,
+	"mmsim":    true,
+	"mmverify": true,
+	"mmworker": false,
+	"mmobs":    false,
 }
 
 // noTelemetry lists binaries allowed to skip tel.RegisterFlags (and so
@@ -41,12 +39,15 @@ var engineFlags = map[string]struct{ registers, prune bool }{
 var noTelemetry = map[string]bool{"mmobs": true}
 
 var (
-	helperReg = regexp.MustCompile(`cli\.RegisterEngineFlags\("[^"]*", (true|false)\)`)
+	helperReg = regexp.MustCompile(`cli\.RegisterEngineFlags\("[^"]*"\)`)
 	// A registered set is used when it reaches Apply — directly, or
 	// (mmcoord) forwarded in a dist job whose receiver applies it.
 	helperUse = regexp.MustCompile(`\.Apply\(&|FrontierResident:\s*\w+\.FrontierResident`)
-	byHand    = regexp.MustCompile(`flag\.\w+\("(prune|cow|dedup-mem|frontier-resident)"`)
-	telReg    = regexp.MustCompile(`\btel\.RegisterFlags\(\)`)
+	byHand    = regexp.MustCompile(`flag\.\w+\("(dedup-mem|frontier-resident)"`)
+	// The engine has one configuration: no binary may bring back a
+	// flag that selects another.
+	removed = regexp.MustCompile(`flag\.\w+\("(prune|cow)"`)
+	telReg  = regexp.MustCompile(`\btel\.RegisterFlags\(\)`)
 )
 
 func TestFlagMatrix(t *testing.T) {
@@ -103,18 +104,15 @@ func TestFlagMatrix(t *testing.T) {
 		if byHand.Match(src) {
 			t.Errorf("%s: registers an engine flag by hand — use cli.RegisterEngineFlags", tool)
 		}
-		m := helperReg.FindSubmatch(src)
-		if (m != nil) != want.registers {
-			t.Errorf("%s: calls cli.RegisterEngineFlags=%v, matrix says %v", tool, m != nil, want.registers)
+		if removed.Match(src) {
+			t.Errorf("%s: registers the removed -prune or -cow flag", tool)
+		}
+		registers := helperReg.Match(src)
+		if registers != want {
+			t.Errorf("%s: calls cli.RegisterEngineFlags=%v, matrix says %v", tool, registers, want)
 			continue
 		}
-		if m == nil {
-			continue
-		}
-		if prune := string(m[1]) == "true"; prune != want.prune {
-			t.Errorf("%s: -prune registered=%v, matrix says %v", tool, prune, want.prune)
-		}
-		if !helperUse.Match(src) {
+		if registers && !helperUse.Match(src) {
 			t.Errorf("%s: registers the engine flags but never applies them", tool)
 		}
 	}

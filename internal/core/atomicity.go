@@ -24,9 +24,9 @@ import (
 // The default implementation is the worklist closure keyed on the
 // graph's change log: each pass re-examines only the rule instances
 // whose endpoint ancestor/descendant bitsets (or index membership)
-// actually changed since the previous fixpoint. Options.
-// DisableIncrementalClosure falls back to closureFull, the whole-graph
-// fixpoint — kept as the ablation baseline and the property-test oracle.
+// actually changed since the previous fixpoint. The reference engine
+// (EnumerateReference) runs closureFull, the whole-graph fixpoint, which
+// is also the property-test oracle.
 func (s *state) closure() error {
 	if s.g.ChangeLogEnabled() {
 		return s.closureIncremental()
@@ -481,12 +481,11 @@ func (s *state) localPriorStores(lid int, sameAddrOnly bool) []int {
 // matching address and is not ordered after L.
 //
 // The default evaluator prices the whole per-address store set at once
-// over the node-property masks (candidatesWords); the per-store probing
-// scan is kept behind DisableIncrementalClosure as the ablation baseline,
-// so the fuzz differential exercises genuinely independent candidate
-// code. The two return the same set — word order is ascending node ID,
-// the scan's is index insertion order, and every consumer treats the
-// slice as a set.
+// over the node-property masks (candidatesWords); the reference engine
+// keeps the per-store probing scan, so the fuzz differential exercises
+// genuinely independent candidate code. The two return the same set —
+// word order is ascending node ID, the scan's is index insertion order,
+// and every consumer treats the slice as a set.
 func (s *state) candidates(lid int) []int {
 	if s.g.ChangeLogEnabled() {
 		return s.candidatesWords(lid)

@@ -41,10 +41,11 @@ type Checkpoint struct {
 	ProgramHash uint64 `json:"program_hash"`
 	// Speculative records Options.Speculative at checkpoint time.
 	Speculative bool `json:"speculative,omitempty"`
-	// Symmetry records Options.Symmetry at checkpoint time. A
-	// symmetry-pruned frontier omits orbit twins (they are re-derived
-	// at the end of a complete run), so resuming under a different
-	// setting would silently drop behaviors; Resume refuses a mismatch.
+	// Symmetry records whether the run reduced by symmetry (see
+	// Options.CandidateHook). A symmetry-pruned frontier omits orbit
+	// twins (they are re-derived at the end of a complete run), so
+	// resuming under a different setting would silently drop behaviors;
+	// Resume refuses a mismatch.
 	Symmetry bool `json:"symmetry,omitempty"`
 	// StatesExplored carries the work counter forward so budgets are
 	// cumulative across resumes.
@@ -268,7 +269,7 @@ func (r *Result) Checkpoint(p *program.Program, opts Options) *Checkpoint {
 		Model:          r.Model,
 		ProgramHash:    ProgramHash(p),
 		Speculative:    opts.Speculative,
-		Symmetry:       opts.Symmetry,
+		Symmetry:       opts.symmetryOn(),
 		StatesExplored: r.Stats.StatesExplored,
 		Metrics:        opts.Metrics.Snapshot(),
 	}
@@ -339,8 +340,8 @@ func (c *Checkpoint) validate(p *program.Program, pol order.Policy, opts Options
 	if c.Speculative != opts.Speculative {
 		return fmt.Errorf("core: checkpoint speculation mode (%v) does not match options (%v)", c.Speculative, opts.Speculative)
 	}
-	if c.Symmetry != opts.Symmetry {
-		return fmt.Errorf("core: checkpoint symmetry mode (%v) does not match options (%v)", c.Symmetry, opts.Symmetry)
+	if sym := opts.symmetryOn(); c.Symmetry != sym {
+		return fmt.Errorf("core: checkpoint symmetry mode (%v) does not match options (%v)", c.Symmetry, sym)
 	}
 	return nil
 }

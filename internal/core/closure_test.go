@@ -12,8 +12,8 @@ import (
 // TestIncrementalClosureMatchesRecompute is the worklist closure's
 // property test. Every completed behavior of a corpus program is
 // replayed twice in lockstep — once with the change-log worklist closure
-// (the default), once with the from-scratch fixpoint
-// (DisableIncrementalClosure) — and after every step the two states must
+// (the default), once with the reference engine's from-scratch fixpoint
+// (disableIncrementalClosure) — and after every step the two states must
 // agree on the full reachability relation and on every node's
 // resolution. Two further oracles run on the incremental state at each
 // step: graph.RecomputeClosure must reproduce its transitive closure
@@ -65,7 +65,7 @@ func replayCompare(t *testing.T, p *program.Program, pol order.Policy, opts Opti
 	t.Helper()
 	incOpts := opts.withDefaults()
 	fullOpts := opts
-	fullOpts.DisableIncrementalClosure = true
+	fullOpts.disableIncrementalClosure = true
 	fullOpts = fullOpts.withDefaults()
 	inc := newState(p, pol, incOpts)
 	full := newState(p, pol, fullOpts)

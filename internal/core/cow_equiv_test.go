@@ -11,21 +11,22 @@ import (
 	"storeatomicity/internal/randprog"
 )
 
-// The COW invariant, mirroring PR 4's pruning invariant: copy-on-write
-// closure sharing is an engine implementation detail, so the final
-// behavior set must be bit-identical with COW on and off, at one and N
-// workers, under every model — including the symmetry orbit-replay and
-// checkpoint/resume paths, which rebuild states from scratch.
+// The COW invariant, mirroring the pruning invariant: copy-on-write
+// closure sharing and trial application are engine implementation
+// details, so the final behavior set must be bit-identical to the
+// reference engine's with COW on and off, at one and N workers, under
+// every model — including the symmetry orbit-replay and checkpoint/resume
+// paths, which rebuild states from scratch.
 
-// cowConfigs pairs each COW setting with the pruning layers it must
-// compose with. "on+sym"/"off+sym" exercise orbit replay on the
-// symmetric tests.
+// cowConfigs pairs each fork mode with and without symmetry reduction:
+// "on" is the engine, "off" its deep-copy fork-then-resolve form, and
+// the "+nosym" pair runs without orbit replay.
 func cowConfigs() map[string]core.Options {
 	return map[string]core.Options{
-		"on":      {},
-		"off":     {DisableCOW: true},
-		"on+sym":  {Symmetry: true},
-		"off+sym": {DisableCOW: true, Symmetry: true},
+		"on":        {},
+		"off":       core.DeepCopyForks(core.Options{}),
+		"on+nosym":  core.NoSymmetry(core.Options{}),
+		"off+nosym": core.DeepCopyForks(core.NoSymmetry(core.Options{})),
 	}
 }
 
@@ -38,9 +39,9 @@ func TestCOWBitIdenticalLitmus(t *testing.T) {
 			continue
 		}
 		for _, m := range litmus.Models() {
-			want, err := litmus.RunContext(ctx, lt, m, core.Options{DisableCOW: true}, 1)
+			want, err := reference(ctx, lt, m)
 			if err != nil {
-				t.Fatalf("%s/%s baseline: %v", lt.Name, m.Name, err)
+				t.Fatalf("%s/%s reference: %v", lt.Name, m.Name, err)
 			}
 			wantKeys := behaviorKeys(want)
 			for cname, opts := range cowConfigs() {
@@ -50,7 +51,7 @@ func TestCOWBitIdenticalLitmus(t *testing.T) {
 						t.Fatalf("%s/%s %s w%d: %v", lt.Name, m.Name, cname, workers, err)
 					}
 					if gotKeys := behaviorKeys(got); !sameKeys(gotKeys, wantKeys) {
-						t.Errorf("%s/%s: cow=%s at %d workers changed the behavior set: %d executions vs baseline %d",
+						t.Errorf("%s/%s: cow=%s at %d workers changed the behavior set: %d executions vs reference %d",
 							lt.Name, m.Name, cname, workers, len(gotKeys), len(wantKeys))
 					}
 				}
@@ -60,10 +61,9 @@ func TestCOWBitIdenticalLitmus(t *testing.T) {
 }
 
 // TestTrialFrontierBitIdenticalLitmus is the fork-elision acceptance
-// gate. DisableCOW also disables trial application, so the cow=off
-// single-worker run is the legacy clone-every-child oracle; against it
-// we sweep the trial-apply engine with the path-compressed frontier in
-// every regime — off (0), forced to demote everything (1 byte), and
+// gate. The reference engine clones every child before resolving it;
+// against it we sweep the trial-apply engine with the path-compressed
+// frontier in every regime — off (0), forced to demote everything (1 byte), and
 // the auto budget (-1) — at 1, 2, and 4 workers. Behavior sets must be
 // bit-identical everywhere, and the forced-budget legs must actually
 // demote (otherwise the sweep silently stops covering revival-by-replay).
@@ -76,7 +76,7 @@ func TestTrialFrontierBitIdenticalLitmus(t *testing.T) {
 		{"trial", core.Options{}},
 		{"trial+fr1", core.Options{FrontierResidentBytes: 1}},
 		{"trial+fr-auto", core.Options{FrontierResidentBytes: -1}},
-		{"legacy+fr1", core.Options{DisableCOW: true, FrontierResidentBytes: 1}},
+		{"deep+fr1", core.DeepCopyForks(core.Options{FrontierResidentBytes: 1})},
 	}
 	demoted := 0
 	for _, lt := range litmus.Registry() {
@@ -84,7 +84,7 @@ func TestTrialFrontierBitIdenticalLitmus(t *testing.T) {
 			continue
 		}
 		for _, m := range litmus.Models() {
-			want, err := litmus.RunContext(ctx, lt, m, core.Options{DisableCOW: true}, 1)
+			want, err := reference(ctx, lt, m)
 			if err != nil {
 				t.Fatalf("%s/%s oracle: %v", lt.Name, m.Name, err)
 			}
@@ -126,9 +126,9 @@ func TestCOWBitIdenticalRand(t *testing.T) {
 		}
 		p := randprog.Generate(randprog.Config{Seed: seed, Threads: threads, Ops: ops})
 		for _, pol := range models {
-			want, err := core.Enumerate(ctx, p, pol, core.Options{DisableCOW: true})
+			want, err := core.Enumerate(ctx, p, pol, core.DeepCopyForks(core.Options{}))
 			if err != nil {
-				t.Fatalf("seed %d %s cow=off: %v", seed, pol.Name(), err)
+				t.Fatalf("seed %d %s deep-copy forks: %v", seed, pol.Name(), err)
 			}
 			wantKeys := behaviorKeys(want)
 			got, err := core.Enumerate(ctx, p, pol, core.Options{})
@@ -177,8 +177,8 @@ func TestCOWCheckpointResumeCrossMode(t *testing.T) {
 		resumed        core.Options
 		resumedWorkers int
 	}{
-		{"on-then-off", core.Options{}, core.Options{DisableCOW: true}, 1},
-		{"off-then-on", core.Options{DisableCOW: true}, core.Options{}, 4},
+		{"on-then-off", core.Options{}, core.DeepCopyForks(core.Options{}), 1},
+		{"off-then-on", core.DeepCopyForks(core.Options{}), core.Options{}, 4},
 	} {
 		budget := full.Stats.StatesExplored / 3
 		dir.interrupted.MaxBehaviors = budget
@@ -198,9 +198,10 @@ func TestCOWCheckpointResumeCrossMode(t *testing.T) {
 	}
 }
 
-// TestCOWActuallyShares pins the point of the tentpole: on a real
+// TestCOWActuallyShares pins the point of COW forks: on a real
 // enumeration the overwhelming majority of rows must be adopted by
-// reference, not copied — and with COW off the counters stay zero.
+// reference, not copied — and the reference engine's deep-copy forks
+// leave the counters at zero.
 func TestCOWActuallyShares(t *testing.T) {
 	ctx := context.Background()
 	lt, ok := litmus.ByName("Figure10")
@@ -219,11 +220,11 @@ func TestCOWActuallyShares(t *testing.T) {
 		t.Errorf("COW copied more rows (%d) than it shared (%d) — sharing is not paying off",
 			res.Stats.CowRowsCopied, res.Stats.CowRowsShared)
 	}
-	off, err := litmus.RunContext(ctx, lt, m, core.Options{DisableCOW: true}, 1)
+	off, err := reference(ctx, lt, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.Stats.CowRowsShared != 0 || off.Stats.CowRowsCopied != 0 {
-		t.Errorf("cow=off run reports COW activity: %+v", off.Stats)
+		t.Errorf("reference run reports COW activity: %+v", off.Stats)
 	}
 }

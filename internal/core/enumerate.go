@@ -11,7 +11,9 @@ import (
 	"storeatomicity/internal/telemetry"
 )
 
-// Options tunes enumeration.
+// Options tunes enumeration. Every run uses all of the engine's layers
+// (symmetry reduction only with dedup on and no CandidateHook);
+// EnumerateReference runs none of them.
 type Options struct {
 	// Speculative enables address-aliasing speculation (Section 5.2):
 	// the alias-check ≺ edges of the non-speculative model are dropped,
@@ -32,17 +34,6 @@ type Options struct {
 	// It also disables prefix pruning and symmetry reduction, which are
 	// refinements of the same seen-set.
 	DisableDedup bool
-	// DisableIncrementalClosure falls back to the whole-graph fixpoint
-	// form of the Store Atomicity closure (closureFull) instead of the
-	// worklist form keyed on the graph's change log. Kept as the
-	// ablation baseline and the property-test oracle; the two produce
-	// identical graphs.
-	DisableIncrementalClosure bool
-	// DisableCOW turns off copy-on-write closure sharing: forks deep-copy
-	// every graph row (the pre-COW engine). Kept as the -cow=off escape
-	// hatch and equivalence baseline; the behavior set is bit-identical
-	// either way, at any worker count.
-	DisableCOW bool
 	// DedupMemBudget caps the resident bytes of the engine's seen-set —
 	// the one structure that grows with the number of distinct states
 	// rather than with the program. 0 (the default) keeps the classic
@@ -69,26 +60,13 @@ type Options struct {
 	// workers. Together with DedupMemBudget it bounds the two structures
 	// that grow with the search rather than with the program.
 	FrontierResidentBytes int64
-	// DisablePrefixPrune turns off fork-time prefix-state dedup: children
-	// are then only checked against the seen-set after their next
-	// quiescence (the pre-pruning behavior). The behavior set is
-	// identical either way; prefix pruning just stops duplicate subtrees
-	// before they are queued. No effect when DisableDedup is set.
-	DisablePrefixPrune bool
-	// Symmetry enables thread/address symmetry reduction: when the
-	// program has non-trivial automorphisms (detected once per run),
-	// states are deduplicated under their canonical representative and
-	// the missing orbit members are reconstructed by path replay after a
-	// complete run. The final behavior set is bit-identical to an
-	// unpruned run. Off by default; no effect when DisableDedup is set
-	// or when the program has no symmetry.
-	Symmetry bool
 	// CandidateHook, when non-nil, observes every Load Resolution
 	// point: the resolving load's label and address, and the labels of
 	// its candidate stores. The discipline package uses it to check
 	// the paper's well-synchronization criterion ("exactly one
 	// eligible store"). With EnumerateParallel it must be safe for
-	// concurrent use.
+	// concurrent use. A hook turns symmetry reduction off: a canonical
+	// orbit representative would report a relabelled twin's labels.
 	CandidateHook func(loadLabel string, addr program.Addr, candidates []string)
 	// Checkpoint, when non-nil with a Path and a positive Every,
 	// serializes the work frontier to disk periodically so a killed
@@ -129,6 +107,21 @@ type Options struct {
 	// property-test baseline for the hashed dedup path and is
 	// intentionally unexported: the fingerprint is the production key.
 	dedupString bool
+	// The reference switches each turn one engine layer back into the
+	// original procedure (closureFull and candidatesScan, no prefix
+	// pruning, deep-copy fork-then-resolve, no symmetry reduction).
+	// EnumerateReference sets all four; tests set them one at a time.
+	disableIncrementalClosure bool
+	disablePrefixPrune        bool
+	disableCOW                bool
+	disableSymmetry           bool
+}
+
+// symmetryOn reports whether a run reduces by symmetry — not without
+// dedup (the reduction refines the seen-set), under a CandidateHook, or
+// in the reference engine. The engine and checkpoints share it.
+func (o Options) symmetryOn() bool {
+	return !o.DisableDedup && o.CandidateHook == nil && !o.disableSymmetry
 }
 
 func (o Options) withDefaults() Options {
@@ -151,12 +144,12 @@ type Stats struct {
 	// StatesExplored counts behaviors removed from the work set. A
 	// budgeted run stops after exactly MaxBehaviors states.
 	StatesExplored int
-	// Forks counts child states materialized and queued. With the
-	// trial-apply engine (COW on) a (load, candidate) resolution that is
-	// pruned, rolls back, or completes a final behavior in place never
-	// forks — those land in PrefixPruned/SymmetryPruned, TrialRollbacks,
-	// or ChildrenElided instead. With -cow=off every attempted
-	// resolution forks first, as before.
+	// Forks counts child states materialized and queued. A (load,
+	// candidate) resolution that is pruned, rolls back, or completes a
+	// final behavior in place never forks — those land in
+	// PrefixPruned/SymmetryPruned, TrialRollbacks, or ChildrenElided
+	// instead. EnumerateReference forks every attempted resolution
+	// first.
 	Forks int
 	// ChildrenElided counts candidate children evaluated in place on the
 	// parent (trial-apply) and never queued: doomed resolutions,
@@ -201,7 +194,7 @@ type Stats struct {
 	PoolDropped int
 	// CowRowsShared/CowRowsCopied count closure rows adopted by reference
 	// at fork time vs rows copied on first write. Their ratio is the COW
-	// win: with -cow=off both are zero and every fork copies every row.
+	// win; EnumerateReference forks deep copies and reports both as zero.
 	CowRowsShared int64
 	CowRowsCopied int64
 	// Workers records the engine width that produced this result.
@@ -294,6 +287,19 @@ func Enumerate(ctx context.Context, p *program.Program, pol order.Policy, opts O
 	return enumerateParallelFrom(ctx, p, pol, opts, 1, nil)
 }
 
+// EnumerateReference runs Section 4.1's procedure as first written, at
+// width 1: the whole-graph closure fixpoint, a per-store candidates(L)
+// scan, children deep-copied before they resolve, and dedup only after
+// quiescence. It returns Enumerate's behavior set, more slowly; tests
+// and mmfuzz hold the engine to it.
+func EnumerateReference(ctx context.Context, p *program.Program, pol order.Policy, opts Options) (*Result, error) {
+	opts.disableIncrementalClosure = true
+	opts.disablePrefixPrune = true
+	opts.disableCOW = true
+	opts.disableSymmetry = true
+	return enumerateParallelFrom(ctx, p, pol, opts, 1, nil)
+}
+
 // Resume continues an enumeration from a checkpoint: completed paths are
 // replayed into the final set, frontier paths back onto the work list,
 // and the engine, at the given width, picks up where the checkpointed run
@@ -344,7 +350,7 @@ func checkpointNow(model string, progHash uint64, opts Options, explored int, co
 		Model:          model,
 		ProgramHash:    progHash,
 		Speculative:    opts.Speculative,
-		Symmetry:       opts.Symmetry,
+		Symmetry:       opts.symmetryOn(),
 		StatesExplored: explored,
 		Completed:      completed,
 		Frontier:       frontier,

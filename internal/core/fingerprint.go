@@ -17,15 +17,20 @@ import (
 // What is IN the key: the model name, the program listing, and the
 // options that change which behaviors come back — Speculative (the
 // model's aliasing discipline), MaxNodes, and MaxBehaviors (budget
-// cut-offs truncate the set deterministically at width 1). Options are folded through withDefaults first, so an unset
-// budget and the explicit default hash identically.
+// cut-offs truncate the set deterministically at width 1). Options are
+// folded through withDefaults first, so an unset budget and the
+// explicit default hash identically.
 //
-// What is OUT: everything equivalence-preserving. Pruning layers, COW,
-// dedup spill budgets, worker counts, telemetry, and checkpointing all
-// yield bit-identical behavior sets (the property tests and chaos
-// harness enforce exactly that), so none of them may split the key —
-// a cache keyed on them would miss on requests whose answers are
-// provably equal.
+// What is OUT, and why, even for budget-truncated runs: the dedup and
+// frontier budgets keep the exploration order
+// (TestFingerprintExclusionsHoldWhenTruncated); incomplete results from
+// engines wider than 1 are never cached (serve.ComputeBody); telemetry,
+// checkpointing and ExportSeen only observe; SeedSeen is a fleet shard
+// hint, and a shard that stops early leaves its job incomplete.
+// DisableDedup and CandidateHook (which turns symmetry off) do change
+// truncated sets — on 91 and 76 of the 341 registry keys a budget of
+// 2–50 behaviors stops — and are out only because no flag, request or
+// job spec can set them.
 
 // fingerprintVersion is the body-format version folded into every
 // fingerprint. Bump it whenever the engine changes WHAT a given

@@ -61,17 +61,14 @@ func TestProgramFingerprintSplitsOnBehaviorSetInputs(t *testing.T) {
 }
 
 // TestProgramFingerprintIgnoresEquivalencePreservingOptions: options
-// proven not to change the behavior set (pruning, COW, dedup budgets,
-// exports) must not split the key, and an unset budget must hash like
-// the explicit default.
+// left out of the key (dedup and frontier budgets, exports, the dedup
+// ablation — see fingerprint.go for why each is out) must not split
+// it, and an unset budget must hash like the explicit default.
 func TestProgramFingerprintIgnoresEquivalencePreservingOptions(t *testing.T) {
 	base := ProgramFingerprint("Relaxed", fpSBProgram(), Options{})
 	same := []Options{
 		{MaxBehaviors: 1 << 20, MaxNodes: 192}, // the withDefaults values, explicit
 		{DisableDedup: true},
-		{DisableIncrementalClosure: true, DisablePrefixPrune: true},
-		{Symmetry: true},
-		{DisableCOW: true},
 		{DedupMemBudget: 4096},
 		{FrontierResidentBytes: 1 << 20},
 		{FrontierResidentBytes: -1},

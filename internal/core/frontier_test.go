@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"storeatomicity/internal/order"
+	"storeatomicity/internal/program"
 )
 
 // synthPath builds a deterministic synthetic resolution path of length n
@@ -136,23 +137,29 @@ func assertPathEqual(t *testing.T, who int, got, want []PathStep) {
 // set must be bit-identical to the undemoted run (TestWidthOneContracts
 // pins that width-1 exploration order survives demotion too). Sweeps
 // widths 1, 2 and 4 and a speculative model so revival replays
-// rollback-prone paths too.
+// rollback-prone paths too. figure10Prog has no automorphism; the
+// symmetric store-buffering program makes revived states carry
+// canonical keys and completed runs expand orbits.
 func TestFrontierDemotionRoundTrip(t *testing.T) {
 	progs := []struct {
 		name string
+		prog func() *program.Program
 		opts Options
 	}{
-		{"default", Options{}},
-		{"speculative", Options{Speculative: true}},
-		{"nodedup", Options{DisableDedup: true}},
-		{"symmetry", Options{Symmetry: true}},
+		{"default", figure10Prog, Options{}},
+		{"speculative", figure10Prog, Options{Speculative: true}},
+		{"nodedup", figure10Prog, Options{DisableDedup: true}},
+		{"symmetry", sbProgram, Options{}},
 	}
 	for _, tc := range progs {
 		t.Run(tc.name, func(t *testing.T) {
-			p := figure10Prog()
+			p := tc.prog()
 			base, err := Enumerate(context.Background(), p, order.Relaxed(), tc.opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.name == "symmetry" && base.Stats.SymmetryPruned == 0 {
+				t.Fatal("symmetry reduction never fired")
 			}
 			tiny := tc.opts
 			tiny.FrontierResidentBytes = 1

@@ -65,7 +65,7 @@ type wsEngine struct {
 
 	// prefixPrune/sym are the pruning setup: fork-time dedup against the
 	// shared seen-set, and the program's automorphism group for canonical
-	// keys (nil when off or absent).
+	// keys (nil when off — see Options.symmetryOn — or absent).
 	prefixPrune bool
 	sym         *symmetry
 
@@ -165,8 +165,8 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 	}
 
 	e := &wsEngine{opts: opts, prog: p, pol: pol, ctx: ctx}
-	e.prefixPrune = !opts.DisableDedup && !opts.DisablePrefixPrune
-	if opts.Symmetry && !opts.DisableDedup {
+	e.prefixPrune = !opts.DisableDedup && !opts.disablePrefixPrune
+	if opts.symmetryOn() {
 		e.sym = detectSymmetry(p)
 	}
 	e.met, e.tr = opts.Metrics, opts.Tracer
@@ -810,18 +810,18 @@ func (w *wsWorker) process(s *state) {
 		}
 	}
 
-	// Phase 3: Load Resolution. With COW on, sibling children are
-	// evaluated by trial-applying each resolution + closure directly on
-	// the parent and rolling it back in place (state.beginTrial /
-	// graph.BeginTrial): a candidate the closure rejects never pays a
-	// fork, and a surviving child is materialized mid-trial with the
-	// ordinary COW fork. -cow=off keeps the fork-first legacy loop as the
-	// equivalence baseline.
+	// Phase 3: Load Resolution. Sibling children are evaluated by
+	// trial-applying each resolution + closure directly on the parent and
+	// rolling it back in place (state.beginTrial / graph.BeginTrial): a
+	// candidate the closure rejects never pays a fork, and a surviving
+	// child is materialized mid-trial with the ordinary COW fork. The
+	// reference engine keeps the fork-first loop as the equivalence
+	// baseline.
 	var resolveStart time.Time
 	if e.inst {
 		resolveStart = time.Now()
 	}
-	useTrial := !e.opts.DisableCOW
+	useTrial := !e.opts.disableCOW
 	// A leaf parent's children are complete behaviors: they are recorded
 	// (or elided as already-recorded finals) during this sweep and never
 	// queued at all.
@@ -956,7 +956,7 @@ func (w *wsWorker) process(s *state) {
 				continue
 			}
 			// Interior survivor: materialize mid-trial. The child is
-			// content-identical to a legacy fork-then-resolve child.
+			// content-identical to a reference fork-then-resolve child.
 			ns := s.fork(&w.pool)
 			s.rollbackTrial(m, true)
 			progressed = true

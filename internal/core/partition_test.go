@@ -77,7 +77,7 @@ func TestPartitionMergeEquivalence(t *testing.T) {
 // + spill budget) cannot change the merged set — the distributed
 // correctness argument in partition.go, exercised end to end.
 func TestPartitionMergeWithPruning(t *testing.T) {
-	opts := Options{Symmetry: true, DedupMemBudget: 1 << 10}
+	opts := Options{DedupMemBudget: 1 << 10}
 	base, err := Enumerate(context.Background(), figure10Prog(), order.Relaxed(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -11,26 +11,29 @@ import (
 	"storeatomicity/internal/randprog"
 )
 
-// The non-negotiable pruning invariant: every combination of the three
-// search-pruning layers (incremental closure, prefix-state dedup,
-// symmetry reduction) must yield a final behavior set bit-identical to
-// the unpruned engine's, sequential and parallel alike. These tests are
-// in an external package so they can drive the engines through the
-// litmus corpus (which imports core).
+// The non-negotiable pruning invariant: the engine, and the engine with
+// each search-pruning layer (incremental closure, prefix-state dedup,
+// symmetry reduction) alone, must yield a final behavior set
+// bit-identical to the reference engine's (core.EnumerateReference),
+// sequential and parallel alike. These tests are in an external package
+// so they can drive the engines through the litmus corpus (which imports
+// core).
 
-// pruneConfigs enumerates the pruning combinations under test. The
-// baseline is the original engine: from-scratch closure, post-quiescence
-// dedup only.
+// pruneConfigs enumerates the configurations under test: each pruning
+// layer alone, with the other two in their reference form, bisects a
+// divergence to one layer; "all" is the engine every caller runs.
 func pruneConfigs() map[string]core.Options {
 	return map[string]core.Options{
-		"closure": {DisablePrefixPrune: true},
-		"prefix":  {DisableIncrementalClosure: true},
-		"all":     {Symmetry: true},
+		"closure": core.NoPrefixPrune(core.NoSymmetry(core.Options{})),
+		"prefix":  core.ReferenceClosure(core.NoSymmetry(core.Options{})),
+		"all":     {},
 	}
 }
 
-func baselineOpts() core.Options {
-	return core.Options{DisableIncrementalClosure: true, DisablePrefixPrune: true}
+// reference runs a litmus test on the reference engine, with
+// speculation forced by the model like litmus.RunContext.
+func reference(ctx context.Context, lt *litmus.Test, m litmus.Model) (*core.Result, error) {
+	return core.EnumerateReference(ctx, lt.Build(), m.Policy, core.Options{Speculative: m.Speculative})
 }
 
 // behaviorKeys returns the sorted multiset of canonical execution
@@ -66,9 +69,9 @@ func TestPruningBitIdenticalLitmus(t *testing.T) {
 			continue
 		}
 		for _, m := range litmus.Models() {
-			want, err := litmus.RunContext(ctx, lt, m, baselineOpts(), 1)
+			want, err := reference(ctx, lt, m)
 			if err != nil {
-				t.Fatalf("%s/%s baseline: %v", lt.Name, m.Name, err)
+				t.Fatalf("%s/%s reference: %v", lt.Name, m.Name, err)
 			}
 			wantKeys := behaviorKeys(want)
 			for cname, opts := range pruneConfigs() {
@@ -78,11 +81,11 @@ func TestPruningBitIdenticalLitmus(t *testing.T) {
 						t.Fatalf("%s/%s %s w%d: %v", lt.Name, m.Name, cname, workers, err)
 					}
 					if gotKeys := behaviorKeys(got); !sameKeys(gotKeys, wantKeys) {
-						t.Errorf("%s/%s: pruning %q at %d workers changed the behavior set: %d executions vs baseline %d",
+						t.Errorf("%s/%s: pruning %q at %d workers changed the behavior set: %d executions vs reference %d",
 							lt.Name, m.Name, cname, workers, len(gotKeys), len(wantKeys))
 					}
 					if got.Stats.StatesExplored > want.Stats.StatesExplored {
-						t.Errorf("%s/%s: pruning %q at %d workers explored MORE states (%d) than baseline (%d)",
+						t.Errorf("%s/%s: pruning %q at %d workers explored MORE states (%d) than the reference (%d)",
 							lt.Name, m.Name, cname, workers, got.Stats.StatesExplored, want.Stats.StatesExplored)
 					}
 				}
@@ -92,8 +95,8 @@ func TestPruningBitIdenticalLitmus(t *testing.T) {
 }
 
 // TestPruningBitIdenticalRand extends the invariant to the randprog
-// corpus: ≥500 seeds in full mode (~60 under -short), all pruning layers
-// on versus all off, sequential and parallel.
+// corpus: ≥500 seeds in full mode (~60 under -short), the engine against
+// the reference engine, at widths 1, 2 and 4.
 func TestPruningBitIdenticalRand(t *testing.T) {
 	seeds := 500
 	if testing.Short() {
@@ -108,39 +111,41 @@ func TestPruningBitIdenticalRand(t *testing.T) {
 		}
 		p := randprog.Generate(randprog.Config{Seed: seed, Threads: threads, Ops: ops})
 		for _, pol := range models {
-			want, err := core.Enumerate(ctx, p, pol, baselineOpts())
+			want, err := core.EnumerateReference(ctx, p, pol, core.Options{})
 			if err != nil {
-				t.Fatalf("seed %d %s baseline: %v", seed, pol.Name(), err)
+				t.Fatalf("seed %d %s reference: %v", seed, pol.Name(), err)
 			}
 			wantKeys := behaviorKeys(want)
-			pruned := core.Options{Symmetry: true}
-			got, err := core.Enumerate(ctx, p, pol, pruned)
+			got, err := core.Enumerate(ctx, p, pol, core.Options{})
 			if err != nil {
-				t.Fatalf("seed %d %s pruned: %v", seed, pol.Name(), err)
+				t.Fatalf("seed %d %s engine: %v", seed, pol.Name(), err)
 			}
 			if gotKeys := behaviorKeys(got); !sameKeys(gotKeys, wantKeys) {
-				t.Fatalf("seed %d %s: pruned behavior set diverges (%d vs %d executions)\nprogram:\n%s",
+				t.Fatalf("seed %d %s: engine behavior set diverges (%d vs %d executions)\nprogram:\n%s",
 					seed, pol.Name(), len(gotKeys), len(wantKeys), p)
 			}
-			// Parallel spot check on a rotating subset to bound runtime.
-			if seed%5 == 0 {
-				gotPar, err := core.EnumerateParallel(ctx, p, pol, pruned, 4)
+			// Parallel spot checks on a rotating subset to bound runtime.
+			if seed%5 != 0 {
+				continue
+			}
+			for _, workers := range []int{2, 4} {
+				gotPar, err := core.EnumerateParallel(ctx, p, pol, core.Options{}, workers)
 				if err != nil {
-					t.Fatalf("seed %d %s pruned parallel: %v", seed, pol.Name(), err)
+					t.Fatalf("seed %d %s engine w%d: %v", seed, pol.Name(), workers, err)
 				}
 				if gotKeys := behaviorKeys(gotPar); !sameKeys(gotKeys, wantKeys) {
-					t.Fatalf("seed %d %s: parallel pruned behavior set diverges (%d vs %d executions)\nprogram:\n%s",
-						seed, pol.Name(), len(gotKeys), len(wantKeys), p)
+					t.Fatalf("seed %d %s: engine behavior set at %d workers diverges (%d vs %d executions)\nprogram:\n%s",
+						seed, pol.Name(), workers, len(gotKeys), len(wantKeys), p)
 				}
 			}
 		}
 	}
 }
 
-// TestSymmetryActuallyPrunes pins the point of the tentpole: on the
-// rotation-symmetric SB3 family, symmetry + prefix pruning must explore
-// strictly fewer states than the unpruned engine while (per the tests
-// above) emitting the identical behavior set.
+// TestSymmetryActuallyPrunes pins the point of the pruning layers: on
+// the rotation-symmetric SB3 family, the engine must explore at most
+// half the reference engine's states while (per the tests above)
+// emitting the identical behavior set.
 func TestSymmetryActuallyPrunes(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"SB3", "SB3W"} {
@@ -149,11 +154,11 @@ func TestSymmetryActuallyPrunes(t *testing.T) {
 			t.Fatalf("litmus test %s not registered", name)
 		}
 		m, _ := litmus.ModelByName("Relaxed")
-		base, err := litmus.RunContext(ctx, lt, m, baselineOpts(), 1)
+		base, err := reference(ctx, lt, m)
 		if err != nil {
-			t.Fatalf("%s baseline: %v", name, err)
+			t.Fatalf("%s reference: %v", name, err)
 		}
-		pruned, err := litmus.RunContext(ctx, lt, m, core.Options{Symmetry: true}, 1)
+		pruned, err := litmus.RunContext(ctx, lt, m, core.Options{}, 1)
 		if err != nil {
 			t.Fatalf("%s pruned: %v", name, err)
 		}
@@ -161,11 +166,11 @@ func TestSymmetryActuallyPrunes(t *testing.T) {
 			t.Errorf("%s: symmetry reduction never fired (stats %+v)", name, pruned.Stats)
 		}
 		if pruned.Stats.StatesExplored*2 > base.Stats.StatesExplored {
-			t.Errorf("%s: expected ≥2x state reduction, got %d pruned vs %d baseline",
+			t.Errorf("%s: expected ≥2x state reduction, got %d pruned vs %d reference",
 				name, pruned.Stats.StatesExplored, base.Stats.StatesExplored)
 		}
 		if !sameKeys(behaviorKeys(pruned), behaviorKeys(base)) {
-			t.Errorf("%s: pruned behavior set diverges from baseline", name)
+			t.Errorf("%s: pruned behavior set diverges from the reference", name)
 		}
 	}
 }

@@ -77,7 +77,7 @@ func TestPrefixPruneVsBackstopAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d pruned: %v", seed, err)
 		}
-		plain, err := Enumerate(ctx, p, pol, Options{DisablePrefixPrune: true})
+		plain, err := Enumerate(ctx, p, pol, Options{disablePrefixPrune: true})
 		if err != nil {
 			t.Fatalf("seed %d plain: %v", seed, err)
 		}
@@ -86,7 +86,7 @@ func TestPrefixPruneVsBackstopAccounting(t *testing.T) {
 				seed, pruned.Stats.StatesExplored, plain.Stats.StatesExplored)
 		}
 		if plain.Stats.PrefixPruned != 0 || plain.Stats.SymmetryPruned != 0 {
-			t.Errorf("seed %d: DisablePrefixPrune still recorded fork-time prunes: %+v", seed, plain.Stats)
+			t.Errorf("seed %d: disablePrefixPrune still recorded fork-time prunes: %+v", seed, plain.Stats)
 		}
 		if len(pruned.Executions) != len(plain.Executions) {
 			t.Errorf("seed %d: behavior counts diverge: %d vs %d", seed, len(pruned.Executions), len(plain.Executions))

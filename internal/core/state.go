@@ -225,12 +225,12 @@ func newState(p *program.Program, pol order.Policy, opts Options) *state {
 		byThread: make([][]int, len(p.Threads)),
 		addrs:    make([]addrSet, 0, len(addrs)+2),
 	}
-	if opts.DisableCOW {
-		// Deep-copy forks (-cow=off): the escape hatch and equivalence
-		// baseline. Must precede node creation.
+	if opts.disableCOW {
+		// Deep-copy forks for the reference engine. Must precede node
+		// creation.
 		s.g.DisableCOW()
 	}
-	if !opts.DisableIncrementalClosure {
+	if !opts.disableIncrementalClosure {
 		// The worklist closure keys off the graph's change log; enable it
 		// before any edge exists so no closure growth goes unrecorded.
 		s.g.EnableChangeLog()

@@ -17,7 +17,7 @@ import (
 // of each state orbit is explored, and by reconstructing the pruned
 // orbit members from the explored representatives once a run completes
 // (replaying permuted resolution paths). The final behavior set is
-// bit-identical to an unpruned run; property tests enforce it.
+// bit-identical to the reference engine's; property tests enforce it.
 //
 // The mechanism hinges on node-ID reconstruction: node IDs are assigned
 // in (epoch, class, thread, seq)-lexicographic order — initializing

@@ -55,8 +55,14 @@ type Report struct {
 // Check enumerates p under pol and applies the well-synchronization
 // criterion. syncAddrs lists the synchronization variables; all other
 // addresses are data. The enumeration options' CandidateHook is
-// overwritten.
+// overwritten (which keeps symmetry reduction off).
 func Check(ctx context.Context, p *program.Program, pol order.Policy, syncAddrs map[program.Addr]bool, opts core.Options) (*Report, error) {
+	return check(ctx, p, pol, syncAddrs, opts, core.Enumerate)
+}
+
+// check is Check over a given engine; tests pass core.EnumerateReference.
+func check(ctx context.Context, p *program.Program, pol order.Policy, syncAddrs map[program.Addr]bool, opts core.Options,
+	enumerate func(context.Context, *program.Program, order.Policy, core.Options) (*core.Result, error)) (*Report, error) {
 	worst := map[string]Violation{}
 	opts.CandidateHook = func(load string, addr program.Addr, candidates []string) {
 		if syncAddrs[addr] || len(candidates) <= 1 {
@@ -66,7 +72,7 @@ func Check(ctx context.Context, p *program.Program, pol order.Policy, syncAddrs 
 			worst[load] = Violation{Load: load, Addr: addr, Candidates: candidates}
 		}
 	}
-	res, err := core.Enumerate(ctx, p, pol, opts)
+	res, err := enumerate(ctx, p, pol, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,12 @@ package discipline
 
 import (
 	"context"
-
+	"fmt"
+	"sort"
 	"testing"
 
 	"storeatomicity/internal/core"
+	"storeatomicity/internal/litmus"
 	"storeatomicity/internal/order"
 	"storeatomicity/internal/program"
 )
@@ -138,4 +140,47 @@ func TestSingleThreadedIsWellSynchronized(t *testing.T) {
 	if !rep.WellSynchronized {
 		t.Errorf("single-threaded program racy: %v", rep.Violations)
 	}
+}
+
+// TestCheckMatchesReference: the engine's hook reports must equal the
+// reference engine's over every registry test under every model, with
+// every address treated as data. Symmetry reduction would break this —
+// a canonical representative reports a relabelled twin's loads and
+// stores — which is why a CandidateHook keeps it off.
+func TestCheckMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	pairs := 0
+	for _, lt := range litmus.Registry() {
+		for _, m := range litmus.Models() {
+			opts := core.Options{Speculative: m.Speculative}
+			got, err := check(ctx, lt.Build(), m.Policy, nil, opts, core.Enumerate)
+			if err != nil {
+				t.Fatalf("%s/%s engine: %v", lt.Name, m.Name, err)
+			}
+			want, err := check(ctx, lt.Build(), m.Policy, nil, opts, core.EnumerateReference)
+			if err != nil {
+				t.Fatalf("%s/%s reference: %v", lt.Name, m.Name, err)
+			}
+			if g, w := reportSummary(got), reportSummary(want); g != w {
+				t.Errorf("%s/%s: engine report differs from the reference\n got: %s\nwant: %s", lt.Name, m.Name, g, w)
+			}
+			pairs++
+		}
+	}
+	if pairs < 200 {
+		t.Errorf("checked %d registry pairs, want every test under every model", pairs)
+	}
+}
+
+// reportSummary renders the verdict and each violation's load, address
+// and candidate set (sorted: the engine and the reference list
+// candidates in different orders).
+func reportSummary(r *Report) string {
+	s := fmt.Sprintf("well-synchronized=%v", r.WellSynchronized)
+	for _, v := range r.Violations {
+		cands := append([]string(nil), v.Candidates...)
+		sort.Strings(cands)
+		s += fmt.Sprintf("; %s@%d%v", v.Load, v.Addr, cands)
+	}
+	return s
 }

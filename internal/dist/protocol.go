@@ -19,6 +19,7 @@ package dist
 
 import (
 	"fmt"
+	"strings"
 
 	"storeatomicity/internal/cli"
 	"storeatomicity/internal/core"
@@ -51,10 +52,12 @@ type JobSpec struct {
 	// options — the same key internal/serve memoizes by); a worker whose
 	// build disagrees is refused (version skew).
 	ProgramHash uint64 `json:"program_hash"`
-	// Prune/COW/DedupMem carry the engine flag grammars (cli.EngineFlags)
-	// so every worker runs the same configuration.
-	Prune    string `json:"prune,omitempty"`
-	COW      string `json:"cow,omitempty"`
+	// Prune and COW name the removed -prune and -cow flags, which
+	// ProgramHash leaves out: Resolve refuses any value but the one
+	// configuration ("", "all" or cli.PruneAll; "" or "on").
+	Prune string `json:"prune,omitempty"`
+	COW   string `json:"cow,omitempty"`
+	// DedupMem carries the -dedup-mem grammar (cli.ApplyDedupMem).
 	DedupMem string `json:"dedup_mem,omitempty"`
 	// FrontierResident carries the -frontier-resident grammar
 	// (cli.ApplyFrontierResident): the resident-frontier byte budget each
@@ -80,7 +83,13 @@ func (j *JobSpec) Resolve() (*litmus.Test, litmus.Model, core.Options, error) {
 	if !ok {
 		return nil, litmus.Model{}, opts, fmt.Errorf("dist: unknown model %q", j.Model)
 	}
-	ef := cli.EngineFlags{Prune: j.Prune, COW: j.COW, DedupMem: j.DedupMem, FrontierResident: j.FrontierResident}
+	if err := cli.ApplyPrune(&opts, j.Prune); err != nil {
+		return nil, litmus.Model{}, opts, fmt.Errorf("dist: job spec: %w", err)
+	}
+	if cow := strings.TrimSpace(j.COW); cow != "" && cow != "on" {
+		return nil, litmus.Model{}, opts, fmt.Errorf("dist: job spec: cow %q: the -cow flag was removed; every run forks copy-on-write", j.COW)
+	}
+	ef := cli.EngineFlags{DedupMem: j.DedupMem, FrontierResident: j.FrontierResident}
 	if err := ef.Apply(&opts); err != nil {
 		return nil, litmus.Model{}, opts, fmt.Errorf("dist: job spec: %w", err)
 	}

@@ -68,9 +68,9 @@ func (g *Graph) flushCow() {
 	}
 }
 
-// DisableCOW switches the graph to deep-copy Clone/CloneInto semantics
-// (the pre-COW engine, kept as the -cow=off escape hatch and the
-// equivalence baseline). It must be called before any node is added.
+// DisableCOW switches the graph to deep-copy Clone/CloneInto semantics,
+// the forks of the pre-COW engine that core.EnumerateReference runs as
+// the equivalence baseline. It must be called before any node is added.
 func (g *Graph) DisableCOW() {
 	if g.n > 0 || len(g.succH) > 0 {
 		panic("graph: DisableCOW after nodes were added")

@@ -170,9 +170,9 @@ func TestCOWRecomputeClosureIsolated(t *testing.T) {
 	assertClosureEqual(t, c, cowSnapshot(oracle), "child recompute")
 }
 
-// TestDisableCOWDeepCopies pins the -cow=off escape hatch: forks share
-// nothing, and a COW-mode retiree recycled into the deep path donates no
-// aliased buffers.
+// TestDisableCOWDeepCopies pins the reference engine's deep-copy forks:
+// forks share nothing, and a COW-mode retiree recycled into the deep
+// path donates no aliased buffers.
 func TestDisableCOWDeepCopies(t *testing.T) {
 	mk := func() *Graph {
 		g := New(0, 8)

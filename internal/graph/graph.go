@@ -61,7 +61,7 @@ var ErrCycle = errors.New("graph: edge would create a cycle")
 // Rows live in slab segments and are addressed by pointer-free handles
 // (slab.go); they are shared copy-on-write between a graph and its
 // CloneInto forks by default — see cow.go for the ownership scheme and
-// DisableCOW for the deep-copy escape hatch.
+// DisableCOW for the deep-copy forks of the reference engine.
 //
 // The zero value is not usable; call New.
 type Graph struct {

@@ -5,8 +5,8 @@ import (
 )
 
 // Symmetric litmus tests: n-thread generalizations of store buffering
-// whose thread/address rotation symmetry the search-pruning layer can
-// exploit (core.Options.Symmetry). They double as the heavy entries of
+// whose thread/address rotation symmetry the engine's symmetry
+// reduction exploits. They double as the heavy entries of
 // the benchmark suite — SB3W's nine memory operations blow the state
 // space up far past the paper figures — and as correctness fixtures for
 // the symmetry property tests (the rotation group has order 3, so every

@@ -84,9 +84,11 @@ type Config struct {
 	// their budget-stopped prefixes are schedule-dependent, so with
 	// EngineWorkers > 1 incomplete results are not cached.
 	EngineWorkers int
-	// Opts carries the equivalence-preserving engine configuration
-	// (pruning, COW, dedup budget, telemetry hooks). Behavior-set
-	// fields (Speculative, budgets) are overwritten per request.
+	// Opts carries options the cache key leaves out: the dedup and
+	// frontier budgets and telemetry, which leave even truncated bodies
+	// unchanged (see core.ProgramFingerprint). DisableDedup and
+	// CandidateHook change truncated bodies, so they must stay unset.
+	// Behavior-set fields are overwritten per request.
 	Opts core.Options
 }
 
