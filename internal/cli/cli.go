@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -83,7 +84,8 @@ func ApplyPrune(opts *core.Options, spec string) error {
 // ParseBytes parses the byte-budget flag grammar shared by -dedup-mem
 // and -cache-mem: a positive byte count with optional k/m/g (KiB/MiB/
 // GiB) suffix, or "", "0", "off" for zero (the caller's "unbounded").
-// flagName only labels the error.
+// A count whose byte total overflows int64 is refused. flagName only
+// labels the error.
 func ParseBytes(flagName, spec string) (int64, error) {
 	orig := spec
 	spec = strings.TrimSpace(strings.ToLower(spec))
@@ -101,7 +103,7 @@ func ParseBytes(flagName, spec string) (int64, error) {
 		mult, spec = 1<<30, spec[:len(spec)-1]
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(spec), 10, 64)
-	if err != nil || n <= 0 {
+	if err != nil || n <= 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("bad %s %q (want a positive byte count with optional k/m/g suffix, or off)", flagName, orig)
 	}
 	return n * mult, nil

@@ -21,7 +21,13 @@ func TestApplyDedupMem(t *testing.T) {
 		{"64k", 64 << 10, false},
 		{"256M", 256 << 20, false},
 		{" 2g ", 2 << 30, false},
+		{"8589934591g", 8589934591 << 30, false}, // the largest whole-GiB budget
 		{"-1", 0, true},
+		// Byte totals past MaxInt64 would wrap negative, which every
+		// caller reads as "unbounded".
+		{"9999999999g", 0, true},
+		{"9223372036854775807k", 0, true},
+		{"8589934592g", 0, true},
 		{"64kb", 0, true},
 		{"lots", 0, true},
 	}

@@ -29,9 +29,8 @@ import (
 //	                    (enumeration tools only)
 //
 // Register the flags before flag.Parse, Init after, and defer Close.
-// When no observability flag is used (or the binary was built with
-// -tags notelemetry) every accessor returns nil and the engines run on
-// their zero-cost disabled path.
+// When no observability flag is used every accessor returns nil and the
+// engines run on their zero-cost disabled path.
 type Telemetry struct {
 	Addr       string
 	Hold       time.Duration
@@ -106,7 +105,7 @@ func (t *Telemetry) active() bool {
 // no observability flags allocates nothing.
 func (t *Telemetry) Init(tool string) error {
 	t.tool = tool
-	if !telemetry.Enabled || !t.active() {
+	if !t.active() {
 		return nil
 	}
 	name := t.Instance

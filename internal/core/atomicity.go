@@ -4,7 +4,6 @@ import (
 	"storeatomicity/internal/graph"
 	"storeatomicity/internal/order"
 	"storeatomicity/internal/program"
-	"storeatomicity/internal/telemetry"
 )
 
 // This file implements Section 3.3 (the Store Atomicity property as an
@@ -150,7 +149,7 @@ func (s *state) closureIncremental() error {
 		if s.work.Empty() {
 			return nil
 		}
-		if telemetry.Enabled && s.opts.Metrics != nil {
+		if s.opts.Metrics != nil {
 			s.opts.Metrics.WorklistLen.Observe(int64(s.work.Count()))
 		}
 		s.invalidateElig(s.work)
@@ -330,7 +329,7 @@ func (s *state) eligibleCached(lid int) bool {
 }
 
 func (s *state) countDirtySkip() {
-	if telemetry.Enabled && s.opts.Metrics != nil {
+	if s.opts.Metrics != nil {
 		s.opts.Metrics.DirtySkips.Inc(s.shard)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -58,8 +59,8 @@ func fingerprintNodes(nodes []Node) uint64 {
 // — in an unbounded map, or in a per-shard RAM-bounded spillStore when a
 // spill budget is set; with Options.dedupString they are the string
 // signatures instead (the property-test oracle); under the dedupcheck build
-// tag a signature guard cross-checks fingerprints and a collision is
-// counted and treated as a distinct key (both behaviors are kept).
+// tag a signature guard cross-checks fingerprints and panics on a
+// collision.
 // Signature-keyed sets still pick the shard by fingerprint, which is a
 // function of the signature.
 type shardedSet struct {
@@ -70,7 +71,6 @@ type shardedSet struct {
 	budget    int64 // per-shard spill budget; 0 keeps in-memory maps
 	met       *telemetry.EnumMetrics
 	journal   *obslog.Journal
-	coll      *telemetry.Counter // collision counter (nil-safe)
 }
 
 // keyShard is one shard; execs holds the executions recorded into it.
@@ -103,9 +103,6 @@ func (k *shardedSet) init(workers int, opts Options, budget int64) {
 	n := int64(len(k.shards))
 	k.mask = uint64(n - 1)
 	k.useString, k.met, k.journal = opts.dedupString, opts.Metrics, opts.Journal
-	if k.met != nil {
-		k.coll = k.met.Collisions
-	}
 	if budget > 0 && !k.useString {
 		k.budget = max(budget/n, 1)
 	}
@@ -146,11 +143,8 @@ func (k *shardedSet) insertLocked(sh *keyShard, h uint64, sig string) bool {
 		sh.strs[sig] = struct{}{}
 		return true
 	}
-	if sh.guard != nil && checkCollision(sh.guard, h, sig, k.coll) {
-		// Two distinct signatures behind one fingerprint: treat the
-		// newcomer as unseen so both behaviors are kept (merging them
-		// would silently drop one).
-		return true
+	if sh.guard != nil {
+		checkCollision(sh.guard, h, sig)
 	}
 	if sh.spill != nil {
 		return sh.spill.insert(h)
@@ -162,11 +156,7 @@ func (k *shardedSet) insertLocked(sh *keyShard, h uint64, sig string) bool {
 	return true
 }
 
-// has is the lookup half of insert: present-and-matching keys report
-// true, everything else (including a dedupcheck fingerprint collision,
-// which insert treats as a distinct key) reports false — the sound
-// direction, since an "absent" answer only re-records a behavior that
-// record then drops.
+// has is the lookup half of insert, with the same collision guard.
 func (k *shardedSet) has(h uint64, sig string) bool {
 	sh := k.lock(h)
 	defer sh.mu.Unlock()
@@ -174,8 +164,8 @@ func (k *shardedSet) has(h uint64, sig string) bool {
 		_, dup := sh.strs[sig]
 		return dup
 	}
-	if prev, ok := sh.guard[h]; ok && prev != sig {
-		return false
+	if sh.guard != nil {
+		checkCollision(sh.guard, h, sig)
 	}
 	if sh.spill != nil {
 		return sh.spill.contains(h)
@@ -328,21 +318,16 @@ func (k *shardedSet) release() {
 	}
 }
 
-// checkCollision reports whether sig is a *different* signature than one
-// previously recorded under the same fingerprint. Callers treat a
-// collision as a distinct key — the colliding behavior is explored (or
-// recorded) rather than merged away — and the counter makes the event
-// visible in the metrics snapshot. The guard map exists under the
-// dedupcheck build tag (and in the collision-guard tests), where memory
-// for the full signature set is acceptable.
-func checkCollision(guard map[uint64]string, h uint64, sig string, coll *telemetry.Counter) bool {
-	if prev, ok := guard[h]; ok {
-		if prev != sig {
-			coll.Inc(0)
-			return true
-		}
-		return false
+// checkCollision records sig as h's signature, and panics with the
+// fingerprint and both signatures if h already has a different one: the
+// engine would otherwise merge two distinct behaviors. The guard map
+// exists under the dedupcheck build tag (and in the collision-guard
+// test), where memory for the full signature set is acceptable.
+func checkCollision(guard map[uint64]string, h uint64, sig string) {
+	prev, ok := guard[h]
+	if !ok {
+		guard[h] = sig
+	} else if prev != sig {
+		panic(fmt.Sprintf("core: fingerprint collision: %#016x is the fingerprint of both %q and %q", h, prev, sig))
 	}
-	guard[h] = sig
-	return false
 }

@@ -94,7 +94,7 @@ func newSpillStore(budget int64, met *telemetry.EnumMetrics, jl *obslog.Journal)
 		hotCap = 1
 	}
 	st := &spillStore{hotCap: int(hotCap), hot: make(map[uint64]struct{}), jl: jl}
-	if telemetry.Enabled && met != nil {
+	if met != nil {
 		st.runsC, st.probesC = met.SpillRuns, met.SpillProbes
 		st.compactC = met.SpillCompactions
 		st.runfilesG, st.residentG = met.DedupRunFiles, met.DedupResident

@@ -79,7 +79,7 @@ type Options struct {
 	// steals, frontier depth, candidates(L) set sizes, per-phase
 	// timings, and checkpoint latency. Nil (the default) costs a
 	// predictable nil-check branch per event — the disabled hot path
-	// allocates nothing and regresses nothing measurable.
+	// allocates nothing and reads no clock.
 	Metrics *telemetry.EnumMetrics
 	// Tracer, when non-nil, records span-style phase timings (graph
 	// generation + dataflow per behavior, Load Resolution forking,
@@ -358,17 +358,22 @@ func checkpointNow(model string, progHash uint64, opts Options, explored int, co
 	}
 }
 
+// now is the engine's clock. Every call sits behind a Metrics, Tracer or
+// Checkpoint check, so a run with none of them never reads the clock;
+// TestNilTelemetryReadsNoClock counts the calls.
+var now = time.Now
+
 // saveTimed writes a periodic checkpoint, routing failures to OnError.
 // Write latency feeds the checkpoint histogram and a tracer span.
 func saveTimed(cfg *CheckpointConfig, c *Checkpoint, opts Options) {
 	var t0 time.Time
-	if telemetry.Enabled && (opts.Metrics != nil || opts.Tracer != nil) {
-		t0 = time.Now()
+	if opts.Metrics != nil || opts.Tracer != nil {
+		t0 = now()
 	}
 	err := c.Save(cfg.Path)
 	if !t0.IsZero() {
 		if opts.Metrics != nil {
-			opts.Metrics.CheckpointNs.Observe(time.Since(t0).Nanoseconds())
+			opts.Metrics.CheckpointNs.Observe(now().Sub(t0).Nanoseconds())
 		}
 		opts.Tracer.Span("checkpoint", "checkpoint", 0, t0)
 	}
@@ -377,7 +382,7 @@ func saveTimed(cfg *CheckpointConfig, c *Checkpoint, opts Options) {
 	} else {
 		var ms int64
 		if !t0.IsZero() {
-			ms = time.Since(t0).Milliseconds()
+			ms = now().Sub(t0).Milliseconds()
 		}
 		opts.Journal.Emit(obslog.CheckpointWritten, obslog.Fields{
 			Detail: cfg.Path, States: c.StatesExplored, Count: len(c.Frontier), Ms: ms,
@@ -395,7 +400,7 @@ func saveTimed(cfg *CheckpointConfig, c *Checkpoint, opts Options) {
 // instead; the untimed loop below stays free of clock reads so the
 // disabled path costs nothing.
 func (s *state) runToQuiescence() error {
-	if telemetry.Enabled && (s.opts.Metrics != nil || s.opts.Tracer != nil) {
+	if s.opts.Metrics != nil || s.opts.Tracer != nil {
 		return s.runToQuiescenceTimed()
 	}
 	for {
@@ -421,26 +426,26 @@ func (s *state) runToQuiescence() error {
 // rolled-back behaviors still account their work.
 func (s *state) runToQuiescenceTimed() (err error) {
 	met, tr := s.opts.Metrics, s.opts.Tracer
-	start := time.Now()
+	start := now()
 	var genNs, exeNs int64
 	defer func() {
 		if met != nil {
 			met.GenerateNs.Add(s.shard, genNs)
 			met.ExecuteNs.Add(s.shard, exeNs)
-			met.StateNs.Observe(time.Since(start).Nanoseconds())
+			met.StateNs.Observe(now().Sub(start).Nanoseconds())
 		}
 		tr.Span("quiesce", "phase", s.shard, start)
 	}()
 	for {
-		t0 := time.Now()
+		t0 := now()
 		gen, gerr := s.generate()
-		genNs += time.Since(t0).Nanoseconds()
+		genNs += now().Sub(t0).Nanoseconds()
 		if gerr != nil {
 			return gerr
 		}
-		t0 = time.Now()
+		t0 = now()
 		exe, xerr := s.execute()
-		exeNs += time.Since(t0).Nanoseconds()
+		exeNs += now().Sub(t0).Nanoseconds()
 		if xerr != nil {
 			return xerr
 		}
@@ -448,9 +453,9 @@ func (s *state) runToQuiescenceTimed() (err error) {
 			break
 		}
 	}
-	t0 := time.Now()
+	t0 := now()
 	err = s.closure()
-	exeNs += time.Since(t0).Nanoseconds()
+	exeNs += now().Sub(t0).Nanoseconds()
 	return err
 }
 

@@ -57,8 +57,7 @@ type wsEngine struct {
 	ctx  context.Context
 
 	// met/tr/inst mirror Options.Metrics/Tracer for the hot paths (inst
-	// short-circuits clock reads when both are nil or telemetry is
-	// compiled out).
+	// short-circuits clock reads when both are nil).
 	met  *telemetry.EnumMetrics
 	tr   *telemetry.Tracer
 	inst bool
@@ -170,7 +169,7 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 		e.sym = detectSymmetry(p)
 	}
 	e.met, e.tr = opts.Metrics, opts.Tracer
-	e.inst = telemetry.Enabled && (e.met != nil || e.tr != nil)
+	e.inst = e.met != nil || e.tr != nil
 	if e.met != nil {
 		e.met.Workers.Set(int64(workers))
 	}
@@ -226,7 +225,7 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 	}
 
 	if ckpt := opts.Checkpoint; ckpt != nil {
-		e.ckpt, e.progHash, e.start = ckpt, ProgramHash(p), time.Now()
+		e.ckpt, e.progHash, e.start = ckpt, ProgramHash(p), now()
 	}
 
 	// Cancellation halts the scheduler from the context's own callback
@@ -626,8 +625,8 @@ func (e *wsEngine) frontierPaths() [][]PathStep {
 // (harmless) rather than in neither (unsound).
 func (e *wsEngine) maybeCheckpoint() {
 	last := e.lastCkpt.Load()
-	now := int64(time.Since(e.start))
-	if now-last < int64(e.ckpt.Every) || !e.lastCkpt.CompareAndSwap(last, now) {
+	elapsed := int64(now().Sub(e.start))
+	if elapsed-last < int64(e.ckpt.Every) || !e.lastCkpt.CompareAndSwap(last, elapsed) {
 		return
 	}
 	frontier := e.frontierPaths()
@@ -819,7 +818,7 @@ func (w *wsWorker) process(s *state) {
 	// baseline.
 	var resolveStart time.Time
 	if e.inst {
-		resolveStart = time.Now()
+		resolveStart = now()
 	}
 	useTrial := !e.opts.disableCOW
 	// A leaf parent's children are complete behaviors: they are recorded
@@ -973,7 +972,7 @@ func (w *wsWorker) process(s *state) {
 	}
 	if e.inst {
 		if e.met != nil {
-			e.met.ResolveNs.Add(w.idx, time.Since(resolveStart).Nanoseconds())
+			e.met.ResolveNs.Add(w.idx, now().Sub(resolveStart).Nanoseconds())
 		}
 		e.tr.Span("load-resolution", "phase", w.idx, resolveStart)
 	}

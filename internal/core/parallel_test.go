@@ -123,24 +123,19 @@ func TestWidthOneContracts(t *testing.T) {
 			t.Errorf("%s: explored %d, steals %d, workers %d; want %d, 0, 1",
 				tc.name, res.Stats.StatesExplored, res.Stats.Steals, res.Stats.Workers, budget)
 		}
-		if telemetry.Enabled {
-			// Resident runs stop with resident states queued; the 1-byte
-			// budget has demoted all of them, so its gauge reads lower.
-			live := met.FrontierResident.Value()
-			if demoted := tc.opts.FrontierResidentBytes > 0; (live <= 0) != demoted ||
-				demoted && (res.Stats.FrontierDemoted == 0 || live >= firstLive) {
-				t.Errorf("%s: frontier_resident_bytes = %d (resident run %d), %d states demoted",
-					tc.name, live, firstLive, res.Stats.FrontierDemoted)
-			}
-			if first == nil {
-				firstLive = live
-			}
-			if got := met.FrontierResidentPeak.Value(); got != res.Stats.FrontierResidentPeak {
-				t.Errorf("%s: frontier_resident_peak_bytes = %d, Stats says %d", tc.name, got, res.Stats.FrontierResidentPeak)
-			}
+		// Resident runs stop with resident states queued; the 1-byte
+		// budget has demoted all of them, so its gauge reads lower.
+		live := met.FrontierResident.Value()
+		if demoted := tc.opts.FrontierResidentBytes > 0; (live <= 0) != demoted ||
+			demoted && (res.Stats.FrontierDemoted == 0 || live >= firstLive) {
+			t.Errorf("%s: frontier_resident_bytes = %d (resident run %d), %d states demoted",
+				tc.name, live, firstLive, res.Stats.FrontierDemoted)
+		}
+		if got := met.FrontierResidentPeak.Value(); got != res.Stats.FrontierResidentPeak {
+			t.Errorf("%s: frontier_resident_peak_bytes = %d, Stats says %d", tc.name, got, res.Stats.FrontierResidentPeak)
 		}
 		if first == nil {
-			first = res
+			first, firstLive = res, live
 			continue
 		}
 		if !reflect.DeepEqual(res.Incomplete.Frontier, first.Incomplete.Frontier) {

@@ -187,9 +187,6 @@ func TestIncompleteCarriesSpillDegradation(t *testing.T) {
 // journal as a spill.degraded event — the "why did memory stop
 // growing?" view ISSUE 8 asked for.
 func TestSpillTierObservability(t *testing.T) {
-	if !telemetry.Enabled || !obslog.Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	met := telemetry.NewEnumMetrics(nil)
 	st := newSpillStore(16*8, met, nil) // hotCap = 8 keys
 	snap := func() telemetry.Snapshot { return met.Snapshot() }

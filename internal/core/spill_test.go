@@ -3,10 +3,12 @@ package core
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"storeatomicity/internal/order"
@@ -146,7 +148,7 @@ func TestSpillEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(seq.Stats, base.Stats) {
 		t.Errorf("budgeted stats diverge: %+v vs %+v", seq.Stats, base.Stats)
 	}
-	if telemetry.Enabled && met.SpillRuns.Value() == 0 {
+	if met.SpillRuns.Value() == 0 {
 		t.Error("budgeted sequential run never flushed a spill run")
 	}
 
@@ -165,36 +167,42 @@ func TestSpillEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if telemetry.Enabled && pmet.SpillRuns.Value() == 0 {
+	if pmet.SpillRuns.Value() == 0 {
 		t.Error("budgeted parallel run never flushed a spill run")
 	}
 }
 
-// TestCollisionGuardExploresBoth forces two distinct Load–Store-graph
-// signatures onto one fingerprint and checks the guard's contract: the
-// collision is counted (enum_dedup_collisions_total) and the colliding
-// behavior is treated as unseen, so both states are explored rather
-// than silently merged. The guard map is installed by hand so the test
-// runs with or without the dedupcheck build tag.
-func TestCollisionGuardExploresBoth(t *testing.T) {
-	met := telemetry.NewEnumMetrics(nil)
-	var k shardedSet
-	k.init(1, Options{Metrics: met}.withDefaults(), 0)
-	k.shards[0].guard = map[uint64]string{}
-
+// TestCollisionGuardPanics forces two distinct Load–Store-graph
+// signatures onto one fingerprint and checks the guard's contract: a
+// genuine duplicate is still a duplicate, and the collision panics with
+// the fingerprint and both signatures, on insert and on lookup alike.
+// The guard map is installed by hand so the test runs with or without
+// the dedupcheck build tag.
+func TestCollisionGuardPanics(t *testing.T) {
 	const h = 0xdeadbeefcafe // the "colliding" FNV-1a fingerprint
-	if !k.insert(h, "sigA") {
-		t.Fatal("first signature under the fingerprint not new")
-	}
-	if !k.insert(h, "sigB") {
-		t.Fatal("colliding signature was merged away — second state would not be explored")
-	}
-	if k.insert(h, "sigA") {
-		t.Error("genuine duplicate of the first signature reported new")
-	}
-	if telemetry.Enabled {
-		if got := met.Collisions.Value(); got < 1 {
-			t.Errorf("enum_dedup_collisions_total = %d, want >= 1", got)
+	for name, collide := range map[string]func(*shardedSet){
+		"insert": func(k *shardedSet) { k.insert(h, "sigB") },
+		"has":    func(k *shardedSet) { k.has(h, "sigB") },
+	} {
+		var k shardedSet
+		k.init(1, Options{}.withDefaults(), 0)
+		k.shards[0].guard = map[uint64]string{}
+		if !k.insert(h, "sigA") {
+			t.Fatal("first signature under the fingerprint not new")
 		}
+		if k.insert(h, "sigA") || !k.has(h, "sigA") {
+			t.Error("genuine duplicate of the first signature not recognized")
+		}
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				for _, want := range []string{"0x0000deadbeefcafe", `"sigA"`, `"sigB"`} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("%s: collision panic %q does not name %s", name, msg, want)
+					}
+				}
+			}()
+			collide(&k)
+		}()
 	}
 }

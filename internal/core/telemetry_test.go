@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"storeatomicity/internal/order"
 	"storeatomicity/internal/telemetry"
@@ -29,12 +31,47 @@ func TestDisabledTelemetryForkAllocs(t *testing.T) {
 	}
 }
 
+// TestNilTelemetryReadsNoClock pins the disabled path exactly: with nil
+// Metrics, Tracer and Journal and no Checkpoint, the engine reads the
+// clock zero times at width 1 and width 2, with and without the spill
+// and demotion budgets. The same runs with a metric or trace sink must
+// read it, which shows every clock read goes through the counted seam.
+func TestNilTelemetryReadsNoClock(t *testing.T) {
+	var reads atomic.Int64
+	defer func(orig func() time.Time) { now = orig }(now)
+	now = func() time.Time {
+		reads.Add(1)
+		return time.Now()
+	}
+	for _, workers := range []int{1, 2} {
+		for _, budgets := range []Options{{}, {DedupMemBudget: 64, FrontierResidentBytes: 1}} {
+			for _, sink := range []struct {
+				name string
+				met  *telemetry.EnumMetrics
+				tr   *telemetry.Tracer
+			}{
+				{"nil sinks", nil, nil},
+				{"metrics", telemetry.NewEnumMetrics(nil), nil},
+				{"tracer", nil, telemetry.NewTracer()},
+			} {
+				opts := budgets
+				opts.Metrics, opts.Tracer = sink.met, sink.tr
+				reads.Store(0)
+				if _, err := EnumerateParallel(context.Background(), figure10Prog(), order.Relaxed(), opts, workers); err != nil {
+					t.Fatal(err)
+				}
+				if got, off := reads.Load(), sink.met == nil && sink.tr == nil; off != (got == 0) {
+					t.Errorf("width %d, budgeted %t, %s: %d clock reads; want zero exactly when every sink is nil",
+						workers, budgets.DedupMemBudget > 0, sink.name, got)
+				}
+			}
+		}
+	}
+}
+
 // TestMetricsMatchStats: the telemetry counters and the Result.Stats
 // struct are two views of the same run and must agree exactly.
 func TestMetricsMatchStats(t *testing.T) {
-	if !telemetry.Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	met := telemetry.NewEnumMetrics(nil)
 	res, err := Enumerate(context.Background(), figure10Prog(), order.Relaxed(),
 		Options{Metrics: met})
@@ -121,9 +158,6 @@ func TestStatsUnifiedAcrossEngines(t *testing.T) {
 // final telemetry snapshot, so partial-result consumers see how far the
 // engine got without a live scrape.
 func TestIncompleteEmbedsMetrics(t *testing.T) {
-	if !telemetry.Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	for _, workers := range []int{1, 4} {
 		met := telemetry.NewEnumMetrics(nil)
 		opts := Options{MaxBehaviors: 5, Metrics: met}
@@ -152,9 +186,6 @@ func TestIncompleteEmbedsMetrics(t *testing.T) {
 // TestCheckpointEmbedsMetrics: checkpoints written from an instrumented
 // run embed the snapshot (and Resume ignores it).
 func TestCheckpointEmbedsMetrics(t *testing.T) {
-	if !telemetry.Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	met := telemetry.NewEnumMetrics(nil)
 	opts := Options{MaxBehaviors: 5, Metrics: met}
 	res, err := Enumerate(context.Background(), figure10Prog(), order.Relaxed(), opts)

@@ -38,10 +38,6 @@ type Config struct {
 	// Shards is the partition target (default 16). The partition may
 	// come back smaller when the tree is narrow.
 	Shards int
-	// FingerprintBatch caps fingerprints shipped per lease response
-	// (default 8192); the exchange log is consumed in batches across
-	// successive leases.
-	FingerprintBatch int
 	// Metrics, when non-nil, receives coordinator counters and the
 	// per-shard latency histogram.
 	Metrics *telemetry.DistMetrics
@@ -79,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 16
-	}
-	if c.FingerprintBatch <= 0 {
-		c.FingerprintBatch = 8192
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -466,12 +459,10 @@ func (c *Coordinator) handleLease(req *LeaseRequest) (*LeaseResponse, error) {
 	}
 	c.touch(req.Worker)
 	resp := &LeaseResponse{FpNext: req.FpSeq}
-	// Batch of the exchange log the worker has not seen yet.
+	// Batch of the exchange log the worker has not seen yet: at most
+	// 8192 fingerprints, so the log is consumed across successive leases.
 	if req.FpSeq >= 0 && req.FpSeq < len(c.fpLog) {
-		end := req.FpSeq + c.cfg.FingerprintBatch
-		if end > len(c.fpLog) {
-			end = len(c.fpLog)
-		}
+		end := min(req.FpSeq+8192, len(c.fpLog))
 		resp.Fingerprints = append([]uint64(nil), c.fpLog[req.FpSeq:end]...)
 		resp.FpNext = end
 		if c.met != nil {

@@ -40,6 +40,16 @@ func TestJobSpecResolvesProductionEngine(t *testing.T) {
 	}
 }
 
+// TestJobSpecRefusesOverflowingBudget: a byte budget arriving over the
+// wire whose total overflows int64 is refused, not wrapped negative into
+// an unbounded seen-set.
+func TestJobSpecRefusesOverflowingBudget(t *testing.T) {
+	job := dist.JobSpec{Test: "MP", Model: "Relaxed", DedupMem: "9999999999g"}
+	if _, _, _, err := job.Resolve(); err == nil || !strings.Contains(err.Error(), "bad -dedup-mem") {
+		t.Errorf("Resolve err = %v, want one refusing -dedup-mem %q", err, job.DedupMem)
+	}
+}
+
 // TestJobSpecRefusesRemovedModes: a coordinator built before -prune and
 // -cow were removed sends the configuration it was started with. The
 // program hash leaves the engine configuration out, so Resolve is what

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -239,31 +240,38 @@ func TestWorkerDeadlineDegrades(t *testing.T) {
 }
 
 // TestFingerprintExchangeBatches: fingerprints from a clean completion
-// flow to later leases in batches bounded by FingerprintBatch, and the
-// sequence cursor advances so nothing is re-shipped.
+// flow to later leases in batches of at most 8192, and the sequence
+// cursor advances so nothing is re-shipped.
 func TestFingerprintExchangeBatches(t *testing.T) {
-	c, _ := newTestCoordinator(t, Config{Lease: 10 * time.Second, Shards: 4, WorkerDeadline: -1, FingerprintBatch: 2})
+	c, _ := newTestCoordinator(t, Config{Lease: 10 * time.Second, Shards: 4, WorkerDeadline: -1})
 	respA := lease(t, c, "A")
 	reqA := runShardFor(t, c, "A", respA)
-	reqA.Fingerprints = []uint64{11, 22, 33, 44, 55}
+	const sent = 8192 + 5
+	for h := uint64(1); h <= sent; h++ {
+		reqA.Fingerprints = append(reqA.Fingerprints, h)
+	}
 	if _, err := c.handleComplete(reqA); err != nil {
 		t.Fatal(err)
 	}
-	var got []uint64
+	seen := map[uint64]bool{}
+	var batches []int
 	seq := 0
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 4; i++ {
 		resp, err := c.handleLease(&LeaseRequest{Worker: "B", FpSeq: seq})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(resp.Fingerprints) > 2 {
-			t.Fatalf("batch of %d exceeds FingerprintBatch=2", len(resp.Fingerprints))
+		for _, h := range resp.Fingerprints {
+			if seen[h] {
+				t.Fatalf("fingerprint %d shipped twice", h)
+			}
+			seen[h] = true
 		}
-		got = append(got, resp.Fingerprints...)
+		batches = append(batches, len(resp.Fingerprints))
 		seq = resp.FpNext
 	}
-	if len(got) != 5 {
-		t.Fatalf("exchange shipped %d fingerprints, want 5 exactly once: %v", len(got), got)
+	if !reflect.DeepEqual(batches, []int{8192, 5, 0, 0}) || len(seen) != sent {
+		t.Fatalf("exchange batches %v shipped %d distinct fingerprints, want [8192 5 0 0] and %d", batches, len(seen), sent)
 	}
 }
 

@@ -16,9 +16,6 @@ import (
 // structurally zero for the sequential engine. This pins the tentpole
 // guarantee that telemetry reports the run, not the engine.
 func TestSeqParMetricEquivalence(t *testing.T) {
-	if !telemetry.Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	m, ok := ModelByName("Relaxed")
 	if !ok {
 		t.Fatal("Relaxed model missing")

@@ -14,8 +14,8 @@ import (
 // whole, and redraws the status underneath it, so NDJSON events stay
 // parseable and the live line stays live.
 //
-// Console is plain synchronization, not instrumentation — it works the
-// same under -tags notelemetry and is safe for concurrent use.
+// Console is plain synchronization, not instrumentation, and is safe
+// for concurrent use.
 type Console struct {
 	mu      sync.Mutex
 	w       io.Writer

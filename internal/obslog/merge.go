@@ -25,9 +25,7 @@ type mergeKey struct {
 // into the single deterministic timeline. Lines must be journal-shaped
 // (carry time/src/seq); a malformed line is an error, not a silent
 // drop, because a merged journal with holes would misexplain a run.
-// MergeLines is pure parsing — it works under -tags notelemetry, so
-// mmobs can merge journals produced by instrumented builds regardless
-// of its own build tags.
+// MergeLines is pure parsing; it needs no Journal of its own.
 func MergeLines(streams ...io.Reader) ([][]byte, error) {
 	type rec struct {
 		key  mergeKey

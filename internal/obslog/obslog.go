@@ -8,9 +8,8 @@
 // a source name, and a per-journal sequence number, journals from N
 // processes merge into one deterministic timeline (Merge).
 //
-// The journal is nil-safe and build-tag gated like the metric types:
-// every method on a nil *Journal is a no-op, New returns nil under
-// -tags notelemetry, and Emit's Fields payload travels by value so a
+// The journal is nil-safe like the metric types: every method on a nil
+// *Journal is a no-op, and Emit's Fields payload travels by value so a
 // disabled call allocates nothing on the hot path.
 package obslog
 
@@ -65,9 +64,9 @@ const (
 )
 
 // Fields is the optional structured payload of an event. It travels by
-// value — no variadic boxing — so an emit against a nil or disabled
-// journal costs a nil check and nothing else. Zero-valued fields are
-// omitted from the JSON line.
+// value — no variadic boxing — so an emit against a nil journal costs
+// a nil check and nothing else. Zero-valued fields are omitted from the
+// JSON line.
 type Fields struct {
 	// Worker names the worker the event concerns (not necessarily the
 	// emitting process: the coordinator journals lease grants with the
@@ -123,30 +122,20 @@ type Options struct {
 	// Now is the injectable clock for deterministic tests (default
 	// time.Now).
 	Now func() time.Time
-	// RingCap bounds the in-memory tail served by WriteTail (default
-	// 1024 lines).
-	RingCap int
 }
 
 // New builds a journal writing NDJSON to w, stamped with run and source.
-// Returns nil (a safe no-op) when telemetry is compiled out.
 func New(w io.Writer, run, source string) *Journal {
 	return NewWithOptions(Options{Out: w, Run: run, Source: source})
 }
 
-// NewWithOptions builds a journal with explicit options. Returns nil
-// when telemetry is compiled out.
+// NewWithOptions builds a journal with explicit options. WriteTail
+// serves the most recent 1024 lines.
 func NewWithOptions(o Options) *Journal {
-	if !Enabled {
-		return nil
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
-	if o.RingCap <= 0 {
-		o.RingCap = 1024
-	}
-	sink := &lineSink{out: o.Out, ring: make([][]byte, o.RingCap)}
+	sink := &lineSink{out: o.Out, ring: make([][]byte, 1024)}
 	h := slog.NewJSONHandler(sink, &slog.HandlerOptions{
 		// Events have no severity dimension — the type is the message —
 		// so the level attr is noise and is dropped from every line.
@@ -164,7 +153,7 @@ func NewWithOptions(o Options) *Journal {
 // this when registration hands them the coordinator's authoritative ID.
 // Nil-safe.
 func (j *Journal) SetRun(run string) {
-	if !Enabled || j == nil {
+	if j == nil {
 		return
 	}
 	j.mu.Lock()
@@ -174,7 +163,7 @@ func (j *Journal) SetRun(run string) {
 
 // Run returns the current run ID. Nil-safe (returns "").
 func (j *Journal) Run() string {
-	if !Enabled || j == nil {
+	if j == nil {
 		return ""
 	}
 	j.mu.Lock()
@@ -191,7 +180,7 @@ func (j *Journal) Emit(ev Type, f Fields) { j.emit(ev, -1, f) }
 func (j *Journal) EmitShard(ev Type, shard int, f Fields) { j.emit(ev, shard, f) }
 
 func (j *Journal) emit(ev Type, shard int, f Fields) {
-	if !Enabled || j == nil {
+	if j == nil {
 		return
 	}
 	j.mu.Lock()
@@ -238,7 +227,7 @@ func (j *Journal) emit(ev Type, shard int, f Fields) {
 
 // Seq returns the number of events emitted so far. Nil-safe.
 func (j *Journal) Seq() uint64 {
-	if !Enabled || j == nil {
+	if j == nil {
 		return 0
 	}
 	j.mu.Lock()
@@ -250,7 +239,7 @@ func (j *Journal) Seq() uint64 {
 // retained tail when n <= 0) to w, oldest first — the /journal endpoint.
 // Nil-safe.
 func (j *Journal) WriteTail(w io.Writer, n int) error {
-	if !Enabled || j == nil {
+	if j == nil {
 		return nil
 	}
 	j.mu.Lock()

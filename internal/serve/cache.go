@@ -41,11 +41,10 @@ type cacheEntry struct {
 	body []byte
 }
 
-// Cache is the fingerprint-keyed memo cache. All counters are plain
-// atomics (not telemetry) so /status works in -tags notelemetry builds;
-// the server mirrors them into a telemetry bundle when one is live.
-// bytes and entries change only under mu, so they are exact there and
-// Stats can read them without it.
+// Cache is the fingerprint-keyed memo cache. Its counters are plain
+// atomics that /status and /metrics both render, so the two endpoints
+// always agree. bytes and entries change only under mu, so they are
+// exact there and Stats can read them without it.
 type Cache struct {
 	budget int64 // 0 = unbounded
 

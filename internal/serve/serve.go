@@ -502,8 +502,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 
 // handleMetrics writes the serve counters in Prometheus text format.
 // It renders the same snapshot as /status, from the server's own
-// atomics, so the two endpoints always agree and /metrics is complete
-// in every build, -tags notelemetry included.
+// atomics, so the two endpoints always agree.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.StatusSnapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")

@@ -27,7 +27,6 @@ type EnumMetrics struct {
 	PoolHits   *Counter
 	PoolMisses *Counter
 	DedupHits  *Counter
-	Collisions *Counter
 	Rollbacks  *Counter
 	Steals     *Counter
 	Behaviors  *Counter
@@ -95,11 +94,8 @@ type EnumMetrics struct {
 }
 
 // NewEnumMetrics registers the enumeration metric set on reg (a private
-// registry when reg is nil). Returns nil when telemetry is compiled out.
+// registry when reg is nil).
 func NewEnumMetrics(reg *Registry) *EnumMetrics {
-	if !Enabled {
-		return nil
-	}
 	if reg == nil {
 		reg = NewRegistry()
 	}
@@ -109,7 +105,6 @@ func NewEnumMetrics(reg *Registry) *EnumMetrics {
 	m.PoolHits = reg.NewCounter("enum_pool_hits_total", "forks served from a recycled state")
 	m.PoolMisses = reg.NewCounter("enum_pool_misses_total", "forks that allocated a fresh state")
 	m.DedupHits = reg.NewCounter("enum_dedup_hits_total", "forks dropped by Load-Store-graph dedup")
-	m.Collisions = reg.NewCounter("enum_dedup_collisions_total", "distinct signatures seen behind one fingerprint (signature guard; dedupcheck builds)")
 	m.Rollbacks = reg.NewCounter("enum_rollbacks_total", "behaviors discarded as inconsistent")
 	m.Steals = reg.NewCounter("enum_steals_total", "work items stolen from another worker's deque")
 	m.Behaviors = reg.NewCounter("enum_behaviors_total", "distinct final executions recorded")
@@ -146,7 +141,7 @@ func NewEnumMetrics(reg *Registry) *EnumMetrics {
 
 // Registry returns the registry backing the bundle (nil-safe).
 func (m *EnumMetrics) Registry() *Registry {
-	if !Enabled || m == nil {
+	if m == nil {
 		return nil
 	}
 	return m.reg
@@ -154,7 +149,7 @@ func (m *EnumMetrics) Registry() *Registry {
 
 // Snapshot flattens the bundle's registry (nil-safe).
 func (m *EnumMetrics) Snapshot() Snapshot {
-	if !Enabled || m == nil {
+	if m == nil {
 		return nil
 	}
 	return m.reg.Snapshot()
@@ -184,12 +179,8 @@ type MachineMetrics struct {
 }
 
 // NewMachineMetrics registers the machine/coherence metric set on reg (a
-// private registry when reg is nil). Returns nil when telemetry is
-// compiled out.
+// private registry when reg is nil).
 func NewMachineMetrics(reg *Registry) *MachineMetrics {
-	if !Enabled {
-		return nil
-	}
 	if reg == nil {
 		reg = NewRegistry()
 	}
@@ -211,7 +202,7 @@ func NewMachineMetrics(reg *Registry) *MachineMetrics {
 
 // Registry returns the registry backing the bundle (nil-safe).
 func (m *MachineMetrics) Registry() *Registry {
-	if !Enabled || m == nil {
+	if m == nil {
 		return nil
 	}
 	return m.reg
@@ -219,7 +210,7 @@ func (m *MachineMetrics) Registry() *Registry {
 
 // Snapshot flattens the bundle's registry (nil-safe).
 func (m *MachineMetrics) Snapshot() Snapshot {
-	if !Enabled || m == nil {
+	if m == nil {
 		return nil
 	}
 	return m.reg.Snapshot()
@@ -247,11 +238,8 @@ type DistMetrics struct {
 }
 
 // NewDistMetrics registers the distributed metric set on reg (a private
-// registry when reg is nil). Returns nil when telemetry is compiled out.
+// registry when reg is nil).
 func NewDistMetrics(reg *Registry) *DistMetrics {
-	if !Enabled {
-		return nil
-	}
 	if reg == nil {
 		reg = NewRegistry()
 	}
@@ -271,7 +259,7 @@ func NewDistMetrics(reg *Registry) *DistMetrics {
 
 // Registry returns the registry backing the bundle (nil-safe).
 func (m *DistMetrics) Registry() *Registry {
-	if !Enabled || m == nil {
+	if m == nil {
 		return nil
 	}
 	return m.reg
@@ -279,7 +267,7 @@ func (m *DistMetrics) Registry() *Registry {
 
 // Snapshot flattens the bundle's registry (nil-safe).
 func (m *DistMetrics) Snapshot() Snapshot {
-	if !Enabled || m == nil {
+	if m == nil {
 		return nil
 	}
 	return m.reg.Snapshot()
@@ -309,11 +297,8 @@ type FleetMetrics struct {
 }
 
 // NewFleetMetrics registers the dist_fleet_* series on reg (a private
-// registry when reg is nil). Returns nil when telemetry is compiled out.
+// registry when reg is nil).
 func NewFleetMetrics(reg *Registry) *FleetMetrics {
-	if !Enabled {
-		return nil
-	}
 	if reg == nil {
 		reg = NewRegistry()
 	}
@@ -328,7 +313,7 @@ func NewFleetMetrics(reg *Registry) *FleetMetrics {
 // Update recomputes every fleet series from the live workers'
 // snapshots. Nil-safe; nil or empty snapshots zero the series.
 func (m *FleetMetrics) Update(snaps []Snapshot) {
-	if !Enabled || m == nil {
+	if m == nil {
 		return
 	}
 	for i, k := range fleetKeys {
@@ -343,7 +328,7 @@ func (m *FleetMetrics) Update(snaps []Snapshot) {
 
 // Registry returns the registry backing the bundle (nil-safe).
 func (m *FleetMetrics) Registry() *Registry {
-	if !Enabled || m == nil {
+	if m == nil {
 		return nil
 	}
 	return m.reg

@@ -31,10 +31,9 @@ type Progress struct {
 }
 
 // StartProgress begins redrawing every interval (default 500ms) until
-// Stop. Returns nil (a safe no-op) when telemetry is compiled out or met
-// is nil.
+// Stop. Returns nil (a safe no-op) when met is nil.
 func StartProgress(w io.Writer, met *EnumMetrics, budget int, deadline time.Time, interval time.Duration) *Progress {
-	if !Enabled || met == nil {
+	if met == nil {
 		return nil
 	}
 	if interval <= 0 {

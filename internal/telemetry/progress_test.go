@@ -31,9 +31,6 @@ func (s *syncBuffer) String() string {
 // behaviors/states/frontier/dedup summary, redraw in place with \r, and
 // clear itself on Stop so piped output stays clean.
 func TestProgressLine(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	met := NewEnumMetrics(nil)
 	met.Behaviors.Add(0, 5)
 	met.Explored.Add(0, 100)

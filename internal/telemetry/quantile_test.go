@@ -11,9 +11,6 @@ import (
 // TestHistogramQuantile: linear interpolation inside the rank's bucket,
 // a finite floor for +Inf samples, and zero for empty/nil histograms.
 func TestHistogramQuantile(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	h := NewHistogram([]int64{10, 20, 40})
 	// 10 samples in (0,10], 10 in (10,20].
 	for i := 0; i < 10; i++ {
@@ -48,9 +45,6 @@ func TestHistogramQuantile(t *testing.T) {
 // TestQuantileExport: registry snapshots and the Prometheus exposition
 // carry _p50/_p95/_p99 summary points for every histogram with samples.
 func TestQuantileExport(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	reg := NewRegistry()
 	h := reg.NewHistogramMetric("demo_ns", "demo", []int64{100, 1000})
 	empty := reg.NewHistogramMetric("empty_ns", "never observed", []int64{100})
@@ -82,9 +76,6 @@ func TestQuantileExport(t *testing.T) {
 // snapshots, and re-Update with fewer workers shrinks them (gauges, not
 // counters).
 func TestFleetMetricsUpdate(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	reg := NewRegistry()
 	f := NewFleetMetrics(reg)
 	f.Update([]Snapshot{
@@ -110,9 +101,6 @@ func TestFleetMetricsUpdate(t *testing.T) {
 // the status line (obslog.Console's interface), redraws and Stop go
 // through it instead of raw \r writes.
 func TestProgressRoutesThroughStatusSink(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	sink := &recordingSink{}
 	m := NewEnumMetrics(nil)
 	p := StartProgress(sink, m, 0, time.Time{}, 0)

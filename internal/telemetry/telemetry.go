@@ -9,9 +9,7 @@
 // *Gauge, *Histogram, *EnumMetrics, *MachineMetrics, or *Tracer is a
 // no-op, so the engines instrument unconditionally and a disabled run
 // (nil Options.Metrics) pays only a predictable nil-check branch on the
-// hot path. Builds with `-tags notelemetry` compile the instrumentation
-// out entirely (Enabled = false, constant-folded), which is the baseline
-// the CI overhead guard measures against.
+// hot path. A nil sink is the only way to turn instrumentation off.
 //
 // Counters are sharded across padded cache lines and indexed by worker,
 // so the work-stealing engine's workers never contend on a metric write;
@@ -48,7 +46,7 @@ type Counter struct {
 // Add increments the counter by d on the given shard (callers pass their
 // worker index; any int is folded into range). Nil-safe.
 func (c *Counter) Add(shard int, d int64) {
-	if !Enabled || c == nil {
+	if c == nil {
 		return
 	}
 	c.shards[uint(shard)&(Shards-1)].v.Add(d)
@@ -59,7 +57,7 @@ func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
 
 // Value folds the shards into the counter's total. Nil-safe (returns 0).
 func (c *Counter) Value() int64 {
-	if !Enabled || c == nil {
+	if c == nil {
 		return 0
 	}
 	var t int64
@@ -76,7 +74,7 @@ type Gauge struct {
 
 // Set stores the gauge value. Nil-safe.
 func (g *Gauge) Set(v int64) {
-	if !Enabled || g == nil {
+	if g == nil {
 		return
 	}
 	g.v.Store(v)
@@ -84,7 +82,7 @@ func (g *Gauge) Set(v int64) {
 
 // Value reads the gauge. Nil-safe (returns 0).
 func (g *Gauge) Value() int64 {
-	if !Enabled || g == nil {
+	if g == nil {
 		return 0
 	}
 	return g.v.Load()
@@ -101,9 +99,6 @@ type Histogram struct {
 
 // NewHistogram builds a histogram over the given ascending upper bounds.
 func NewHistogram(bounds []int64) *Histogram {
-	if !Enabled {
-		return nil
-	}
 	h := &Histogram{bounds: append([]int64(nil), bounds...)}
 	h.counts = make([]atomic.Int64, len(h.bounds)+1)
 	return h
@@ -111,7 +106,7 @@ func NewHistogram(bounds []int64) *Histogram {
 
 // Observe records one sample. Nil-safe.
 func (h *Histogram) Observe(v int64) {
-	if !Enabled || h == nil {
+	if h == nil {
 		return
 	}
 	i := 0
@@ -142,7 +137,7 @@ var quantiles = []struct {
 // an estimate, but an honest one. Nil-safe (returns 0, as does an empty
 // histogram).
 func (h *Histogram) Quantile(q float64) float64 {
-	if !Enabled || h == nil {
+	if h == nil {
 		return 0
 	}
 	total := h.total.Load()
@@ -171,7 +166,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // Count returns the number of samples. Nil-safe.
 func (h *Histogram) Count() int64 {
-	if !Enabled || h == nil {
+	if h == nil {
 		return 0
 	}
 	return h.total.Load()
@@ -179,7 +174,7 @@ func (h *Histogram) Count() int64 {
 
 // Sum returns the sum of all samples. Nil-safe.
 func (h *Histogram) Sum() int64 {
-	if !Enabled || h == nil {
+	if h == nil {
 		return 0
 	}
 	return h.sum.Load()
@@ -218,18 +213,14 @@ type Registry struct {
 	entries []entry
 }
 
-// NewRegistry builds an empty registry (nil when telemetry is compiled
-// out).
+// NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	if !Enabled {
-		return nil
-	}
 	return &Registry{}
 }
 
 // NewCounter registers and returns a counter. Nil-safe (returns nil).
 func (r *Registry) NewCounter(name, help string) *Counter {
-	if !Enabled || r == nil {
+	if r == nil {
 		return nil
 	}
 	c := &Counter{}
@@ -241,7 +232,7 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 
 // NewGauge registers and returns a gauge. Nil-safe (returns nil).
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	if !Enabled || r == nil {
+	if r == nil {
 		return nil
 	}
 	g := &Gauge{}
@@ -254,7 +245,7 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 // NewHistogramMetric registers and returns a histogram over bounds.
 // Nil-safe (returns nil).
 func (r *Registry) NewHistogramMetric(name, help string, bounds []int64) *Histogram {
-	if !Enabled || r == nil {
+	if r == nil {
 		return nil
 	}
 	h := NewHistogram(bounds)
@@ -267,7 +258,7 @@ func (r *Registry) NewHistogramMetric(name, help string, bounds []int64) *Histog
 // Snapshot flattens every registered metric into a Snapshot. Nil-safe
 // (returns nil).
 func (r *Registry) Snapshot() Snapshot {
-	if !Enabled || r == nil {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
@@ -304,7 +295,7 @@ func (r *Registry) Snapshot() Snapshot {
 // format (version 0.0.4): # HELP / # TYPE lines, cumulative histogram
 // buckets with an explicit +Inf, and _sum/_count series. Nil-safe.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	if !Enabled || r == nil {
+	if r == nil {
 		return
 	}
 	r.mu.Lock()

@@ -9,9 +9,6 @@ import (
 // Value sums them, including out-of-range shard indexes (workers pass
 // their raw index; the counter masks).
 func TestCounterShardsFold(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	var c Counter
 	for i := 0; i < 3*Shards; i++ {
 		c.Inc(i)
@@ -64,9 +61,6 @@ func TestNilSafety(t *testing.T) {
 // TestHistogramBuckets checks bucket assignment against inclusive upper
 // bounds with the implicit +Inf bucket.
 func TestHistogramBuckets(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	h := NewHistogram([]int64{1, 4, 16})
 	for _, v := range []int64{0, 1, 2, 4, 5, 16, 17, 1000} {
 		h.Observe(v)
@@ -89,9 +83,6 @@ func TestHistogramBuckets(t *testing.T) {
 // counters and gauges, cumulative name_le_<bound> plus _sum/_count for
 // histograms.
 func TestRegistrySnapshot(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	r := NewRegistry()
 	c := r.NewCounter("c_total", "a counter")
 	g := r.NewGauge("g", "a gauge")
@@ -123,9 +114,6 @@ func TestRegistrySnapshot(t *testing.T) {
 // TestWritePrometheus checks the text exposition format: HELP/TYPE
 // lines, cumulative buckets ending in an explicit +Inf, and _sum/_count.
 func TestWritePrometheus(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	r := NewRegistry()
 	r.NewCounter("c_total", "a counter").Inc(0)
 	r.NewGauge("g", "a gauge").Set(2)
@@ -166,9 +154,6 @@ func TestSnapshotFormat(t *testing.T) {
 // TestEnumMetricsSnapshot checks the pre-registered bundle round-trips
 // through its own registry.
 func TestEnumMetricsSnapshot(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	m := NewEnumMetrics(nil)
 	m.Forks.Add(3, 7)
 	m.Frontier.Set(9)

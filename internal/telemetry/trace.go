@@ -51,18 +51,14 @@ type chromeTrace struct {
 }
 
 // NewTracer starts a tracer; timestamps are relative to this call.
-// Returns nil when telemetry is compiled out.
 func NewTracer() *Tracer {
-	if !Enabled {
-		return nil
-	}
 	return &Tracer{start: time.Now()}
 }
 
 // Now returns the tracer's clock reading, for bracketing a span. Nil-safe
 // (returns the zero time, which Span treats as "don't record").
 func (t *Tracer) Now() time.Time {
-	if !Enabled || t == nil {
+	if t == nil {
 		return time.Time{}
 	}
 	return time.Now()
@@ -80,7 +76,7 @@ func (t *Tracer) Span(name, cat string, tid int, start time.Time) {
 // mmobs match a coordinator lease span to the worker execution it
 // granted. Nil-safe.
 func (t *Tracer) SpanArgs(name, cat string, tid int, start time.Time, args map[string]any) {
-	if !Enabled || t == nil || start.IsZero() {
+	if t == nil || start.IsZero() {
 		return
 	}
 	end := time.Now()
@@ -96,7 +92,7 @@ func (t *Tracer) SpanArgs(name, cat string, tid int, start time.Time, args map[s
 // SetMeta records a key in the trace's metadata object (run ID, source
 // name, role). Nil-safe.
 func (t *Tracer) SetMeta(key string, v any) {
-	if !Enabled || t == nil {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -109,7 +105,7 @@ func (t *Tracer) SetMeta(key string, v any) {
 
 // Instant records a zero-duration marker event with optional args.
 func (t *Tracer) Instant(name, cat string, tid int, args map[string]any) {
-	if !Enabled || t == nil {
+	if t == nil {
 		return
 	}
 	t.add(chromeEvent{
@@ -132,7 +128,7 @@ func (t *Tracer) add(e chromeEvent) {
 
 // Len returns the number of buffered events. Nil-safe.
 func (t *Tracer) Len() int {
-	if !Enabled || t == nil {
+	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
@@ -144,7 +140,7 @@ func (t *Tracer) Len() int {
 // (writes an empty, still-loadable trace).
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	doc := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	if Enabled && t != nil {
+	if t != nil {
 		t.mu.Lock()
 		doc.TraceEvents = append(doc.TraceEvents, t.events...)
 		doc.Metadata = map[string]any{

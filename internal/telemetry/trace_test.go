@@ -15,9 +15,6 @@ import (
 // the test decodes into an untyped map rather than the package's own
 // structs.
 func TestChromeTraceSchema(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	tr := NewTracer()
 	s0 := tr.Now()
 	time.Sleep(time.Millisecond)
@@ -100,9 +97,6 @@ func TestNilTracerWritesLoadableTrace(t *testing.T) {
 // TestTracerDropCap: events past maxEvents are dropped and counted in
 // the metadata rather than growing the buffer without bound.
 func TestTracerDropCap(t *testing.T) {
-	if !Enabled {
-		t.Skip("telemetry compiled out")
-	}
 	tr := NewTracer()
 	tr.events = make([]chromeEvent, maxEvents) // pre-fill to the cap
 	tr.Instant("overflow", "test", 0, nil)
