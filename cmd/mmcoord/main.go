@@ -1,18 +1,18 @@
 // Command mmcoord is the coordinator of a fault-tolerant distributed
 // enumeration: it partitions a litmus test's behavior tree into
 // replayable-path shards, serves them to mmworker processes over
-// HTTP/JSON with lease-based ownership and heartbeats, and merges the
-// workers' results into a behavior set bit-identical to a
-// single-process run. Workers may crash, stall, or drop off the network
-// mid-run: expired leases return their shards to the queue, duplicate
-// submissions are absorbed idempotently, and a fleet silent past
-// -deadline degrades the run to a structured partial report instead of
-// hanging.
+// HTTP/JSON, and merges the workers' results into a behavior set
+// bit-identical to a single-process run. A worker owns its shard exactly
+// while it is live: workers may crash, stall, or drop off the network
+// mid-run, and one silent past 3 heartbeats (or restarted under its own
+// -id) has its shard returned to the queue; duplicate submissions are
+// absorbed idempotently, and a fleet silent past -deadline degrades the
+// run to a structured partial report instead of hanging.
 //
 // Usage:
 //
-//	mmcoord [-listen ADDR] [-model NAME] [-shards N] [-lease DUR]
-//	        [-heartbeat DUR] [-deadline DUR] [-selfcheck] TEST
+//	mmcoord [-listen ADDR] [-model NAME] [-shards N] [-heartbeat DUR]
+//	        [-deadline DUR] [-selfcheck] TEST
 //
 // Example (three terminals):
 //
@@ -46,8 +46,7 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:0", "coordinator listen address (host:port; port 0 picks a free one)")
 		model     = flag.String("model", "Relaxed", "model configuration (SC, TSO, NaiveTSO, PSO, Relaxed, Relaxed+spec)")
 		shards    = flag.Int("shards", 16, "partition the frontier into about this many shards")
-		leaseDur  = flag.Duration("lease", 10*time.Second, "shard lease duration; a lease not renewed by a heartbeat returns its shard to the queue")
-		heartbeat = flag.Duration("heartbeat", 0, "worker heartbeat interval (default lease/3)")
+		heartbeat = flag.Duration("heartbeat", 10*time.Second/3, "worker heartbeat interval; a worker silent past 3 heartbeats is lost and its shards return to the queue")
 		deadline  = flag.Duration("deadline", time.Minute, "degrade to a partial result after this long with pending shards and no worker contact (<0 waits forever)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget; on expiry (or Ctrl-C) the partial merge is printed")
 		selfcheck = flag.Bool("selfcheck", false, "also run single-process and fail unless the merged set is bit-identical")
@@ -65,7 +64,11 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mmcoord [-listen ADDR] [-model NAME] [-shards N] [-lease DUR] [-heartbeat DUR] [-deadline DUR] [-selfcheck] TEST\n       mmcoord -list")
+		fmt.Fprintln(os.Stderr, "usage: mmcoord [-listen ADDR] [-model NAME] [-shards N] [-heartbeat DUR] [-deadline DUR] [-selfcheck] TEST\n       mmcoord -list")
+		os.Exit(2)
+	}
+	if *heartbeat <= 0 {
+		fmt.Fprintf(os.Stderr, "mmcoord: -heartbeat %v: must be positive\n", *heartbeat)
 		os.Exit(2)
 	}
 
@@ -86,7 +89,6 @@ func main() {
 	coord, err := dist.NewCoordinator(ctx, dist.Config{
 		Listen:         *listen,
 		Job:            job,
-		Lease:          *leaseDur,
 		Heartbeat:      *heartbeat,
 		WorkerDeadline: *deadline,
 		Shards:         *shards,
@@ -107,8 +109,8 @@ func main() {
 	}
 	defer coord.Close()
 	st := coord.Status()
-	fmt.Printf("mmcoord: serving %s under %s on http://%s (%d shards, lease %v)\n",
-		job.Test, job.Model, coord.Addr(), st.Shards, *leaseDur)
+	fmt.Printf("mmcoord: serving %s under %s on http://%s (%d shards, heartbeat %v, worker lost after %v silent)\n",
+		job.Test, job.Model, coord.Addr(), st.Shards, heartbeat.Round(time.Millisecond), (3 * *heartbeat).Round(time.Millisecond))
 
 	res, err := coord.Wait(ctx)
 	incomplete := false

@@ -4,8 +4,9 @@
 // mmenum, and posts results idempotently. Every coordinator call runs
 // under capped exponential backoff with jitter, so a briefly
 // unreachable coordinator is retried rather than fatal; a worker that
-// dies simply lets its lease expire and the coordinator hands the shard
-// to a peer.
+// dies falls silent, and after 3 heartbeats the coordinator declares it
+// lost and hands its shard to a peer (restarting it under the same -id
+// hands the shard back at once).
 //
 // Usage:
 //
@@ -80,7 +81,7 @@ func main() {
 	case err == nil:
 		fmt.Printf("mmworker: %s done — coordinator reports every shard accounted for\n", *id)
 	case context.Cause(ctx) != nil && ctx.Err() != nil:
-		// Interrupted: the in-flight shard was abandoned to lease
+		// Interrupted: the in-flight shard was abandoned to
 		// reassignment, which is the designed crash behavior, but exit
 		// non-zero so scripts can tell.
 		fmt.Fprintf(os.Stderr, "mmworker: %s interrupted: %v\n", *id, err)

@@ -224,11 +224,8 @@ func (t *Telemetry) StartProgress(budget int, deadline time.Time) {
 	if t.enum == nil || !t.progressOn() {
 		return
 	}
-	if t.console != nil {
-		t.prog = telemetry.StartProgress(t.console, t.enum, budget, deadline, 0)
-		return
-	}
-	t.prog = telemetry.StartProgress(os.Stderr, t.enum, budget, deadline, 0)
+	// Init built t.console, since progressOn holds.
+	t.prog = telemetry.StartProgress(t.console, t.enum, budget, deadline, 0)
 }
 
 // StopProgress clears the live status line (idempotent, nil-safe).

@@ -132,9 +132,6 @@ func NewSystem(n int, init map[program.Addr]program.Value) *System {
 // the labels the enumeration engine gives initializing stores.
 func InitLabel(a program.Addr) string { return fmt.Sprintf("init:%d", a) }
 
-// Cores returns the number of attached caches.
-func (s *System) Cores() int { return len(s.caches) }
-
 // Stats returns a copy of the protocol counters.
 func (s *System) Stats() Stats {
 	st := s.stats

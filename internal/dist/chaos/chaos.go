@@ -4,9 +4,10 @@
 // blocked, computation continues — the GC-pause/stalled-host model), or
 // partitions them (every coordinator call blocked — the network-split
 // model). A Fleet supervises worker slots and respawns abnormal exits
-// with fresh generation IDs, so a run always terminates: the
-// coordinator's lease machinery reassigns orphaned shards and the final
-// merged set must come out bit-identical to a single-process run.
+// until the coordinator reports done, each generation under a fresh ID
+// so the journal tells them apart; the coordinator reassigns the shards
+// of lost workers, and the final merged set must come out bit-identical
+// to a single-process run.
 package chaos
 
 import (
@@ -27,13 +28,13 @@ type Kind int
 
 const (
 	// Kill cancels the worker's context mid-run: the process-crash
-	// model. The victim never posts its in-flight shard; lease expiry
-	// hands the shard to a peer (or to the victim's respawn).
+	// model. The victim never posts its in-flight shard; once it is
+	// declared lost the shard goes to a peer (or to the victim's respawn).
 	Kill Kind = iota
 	// Pause blocks the worker's heartbeats for Dur while computation
-	// continues: the stalled-host model. The lease expires, the shard
-	// is reassigned, and the victim's late completion must be absorbed
-	// idempotently (first-wins).
+	// continues: the stalled-host model. The victim is declared lost,
+	// the shard is reassigned, and the victim's late completion must be
+	// absorbed idempotently (first-wins).
 	Pause
 	// Partition blocks every coordinator call for Dur: the
 	// network-split model, exercising the retry/backoff discipline.

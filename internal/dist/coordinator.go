@@ -24,12 +24,10 @@ type Config struct {
 	Listen string
 	// Job describes the enumeration to distribute.
 	Job JobSpec
-	// Lease is how long a granted shard stays owned without a heartbeat
-	// (default 10s). Expired leases return to the queue.
-	Lease time.Duration
 	// Heartbeat is the interval workers are told to heartbeat at
-	// (default Lease/3). Each heartbeat renews every lease its worker
-	// holds.
+	// (default 10s/3). It is the coordinator's one liveness clock: a
+	// worker silent past 3 heartbeats is lost, and every shard it holds
+	// returns to the queue.
 	Heartbeat time.Duration
 	// WorkerDeadline bounds how long the coordinator waits with pending
 	// shards and no worker contact before degrading to an Incomplete
@@ -64,11 +62,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Lease <= 0 {
-		c.Lease = 10 * time.Second
-	}
 	if c.Heartbeat <= 0 {
-		c.Heartbeat = c.Lease / 3
+		c.Heartbeat = 10 * time.Second / 3
 	}
 	if c.WorkerDeadline == 0 {
 		c.WorkerDeadline = time.Minute
@@ -82,9 +77,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shard state machine: queued → leased → done, with leased → queued on
-// lease expiry. done is terminal — late submissions for a done shard are
-// acknowledged as duplicates, which is what makes reassignment safe.
+// shard state machine: queued → leased → done, with leased → queued when
+// the owner is lost or registers again. done is terminal — late
+// submissions for a done shard are acknowledged as duplicates, which is
+// what makes reassignment safe.
 type shardStatus int
 
 const (
@@ -100,7 +96,6 @@ type shard struct {
 
 	status   shardStatus
 	owner    string
-	leaseExp time.Time
 	leasedAt time.Time
 	attempts int
 	span     string // current (or final) attempt's span ID
@@ -256,7 +251,7 @@ func NewCoordinator(ctx context.Context, cfg Config) (*Coordinator, error) {
 // trace of this run.
 func (c *Coordinator) RunID() string { return c.runID }
 
-// Start binds the listener, serves the protocol, and runs the lease
+// Start binds the listener, serves the protocol, and runs the liveness
 // sweeper until Close.
 func (c *Coordinator) Start() error {
 	ln, err := net.Listen("tcp", c.cfg.Listen)
@@ -297,14 +292,7 @@ func (c *Coordinator) Start() error {
 	c.sweepWG.Add(1)
 	go func() {
 		defer c.sweepWG.Done()
-		tick := c.cfg.Lease / 4
-		if hb := c.cfg.Heartbeat / 2; hb < tick {
-			tick = hb
-		}
-		if tick < time.Millisecond {
-			tick = time.Millisecond
-		}
-		t := time.NewTicker(tick)
+		t := time.NewTicker(max(c.cfg.Heartbeat/2, time.Millisecond))
 		defer t.Stop()
 		for {
 			select {
@@ -365,25 +353,55 @@ func handleJSON[Req, Resp any](f func(*Req) (*Resp, error)) http.HandlerFunc {
 // gone, but its calls are honest). Caller holds mu.
 func (c *Coordinator) touch(worker string) *workerInfo {
 	now := c.cfg.now()
-	wi := c.workers[worker]
-	if wi == nil {
+	wi, known := c.workers[worker]
+	if !known {
 		wi = &workerInfo{}
 		c.workers[worker] = wi
 	}
-	wi.lastSeen = now
-	wi.state = workerLive
+	revived := !known || wi.state == workerLost
+	wi.lastSeen, wi.state = now, workerLive
 	c.lastContact = now
-	if c.met != nil {
-		live := 0
-		ttl := 3 * c.cfg.Heartbeat
-		for _, w := range c.workers {
-			if now.Sub(w.lastSeen) <= ttl {
-				live++
-			}
-		}
-		c.met.WorkersLive.Set(int64(live))
+	if revived {
+		c.publishLiveLocked()
 	}
 	return wi
+}
+
+// publishLiveLocked sets dist_workers_live to the number of workers the
+// sweep has not declared lost. Caller holds mu.
+func (c *Coordinator) publishLiveLocked() {
+	if c.met == nil {
+		return
+	}
+	live := 0
+	for _, wi := range c.workers {
+		if wi.state != workerLost {
+			live++
+		}
+	}
+	c.met.WorkersLive.Set(int64(live))
+}
+
+// requeueLocked returns every shard worker holds to the queue: the
+// worker was declared lost, or registered again (a restarted process
+// holds nothing). Caller holds mu.
+func (c *Coordinator) requeueLocked(worker string) {
+	for _, sh := range c.shards {
+		if sh.status != shardLeased || sh.owner != worker {
+			continue
+		}
+		sh.status, sh.owner = shardQueued, ""
+		c.queue = append(c.queue, sh.id)
+		if c.met != nil {
+			c.met.LeasesExpired.Inc(0)
+		}
+		c.cfg.Journal.EmitShard(obslog.ShardLeaseExpired, sh.id, obslog.Fields{
+			Worker: worker, Span: sh.span, Attempt: sh.attempts,
+		})
+		c.cfg.Journal.EmitShard(obslog.ShardRequeued, sh.id, obslog.Fields{
+			Attempt: sh.attempts,
+		})
+	}
 }
 
 // updateFleetLocked recomputes the dist_fleet_* aggregation from the
@@ -435,14 +453,15 @@ func (c *Coordinator) handleRegister(req *RegisterRequest) (*RegisterResponse, e
 	if _, known := c.workers[req.Worker]; !known {
 		c.cfg.Journal.Emit(obslog.WorkerRegistered, obslog.Fields{Worker: req.Worker})
 	} else {
-		// Same ID re-registering: a chaos respawn (or restart) of a
-		// worker we already met.
+		// Same ID registering again: a restart of a worker we already
+		// met. The new process holds nothing, so the old one's shards go
+		// back to the queue now; its heartbeats would keep them held.
 		c.cfg.Journal.Emit(obslog.WorkerRespawned, obslog.Fields{Worker: req.Worker})
+		c.requeueLocked(req.Worker)
 	}
 	c.touch(req.Worker)
 	return &RegisterResponse{
 		Job:             c.cfg.Job,
-		LeaseMillis:     c.cfg.Lease.Milliseconds(),
 		HeartbeatMillis: c.cfg.Heartbeat.Milliseconds(),
 		RunID:           c.runID,
 	}, nil
@@ -484,9 +503,7 @@ func (c *Coordinator) handleLease(req *LeaseRequest) (*LeaseResponse, error) {
 	id := c.queue[0]
 	c.queue = c.queue[1:]
 	sh := c.shards[id]
-	now := c.cfg.now()
-	sh.status, sh.owner = shardLeased, req.Worker
-	sh.leasedAt, sh.leaseExp = now, now.Add(c.cfg.Lease)
+	sh.status, sh.owner, sh.leasedAt = shardLeased, req.Worker, c.cfg.now()
 	sh.attempts++
 	sh.span = spanID(c.runID, sh.id, sh.attempts)
 	if c.met != nil {
@@ -497,7 +514,6 @@ func (c *Coordinator) handleLease(req *LeaseRequest) (*LeaseResponse, error) {
 	})
 	resp.Shard = sh.id
 	resp.Path = sh.path
-	resp.LeaseMillis = c.cfg.Lease.Milliseconds()
 	resp.SpanID = sh.span
 	resp.Attempt = sh.attempts
 	return resp, nil
@@ -510,7 +526,8 @@ func spanID(run string, shard, attempt int) string {
 	return fmt.Sprintf("%s/s%d/a%d", run, shard, attempt)
 }
 
-// handleHeartbeat renews every lease the worker holds.
+// handleHeartbeat records that the worker is live (and so keeps every
+// shard it holds) and stores its metric snapshot.
 func (c *Coordinator) handleHeartbeat(req *HeartbeatRequest) (*HeartbeatResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -518,12 +535,6 @@ func (c *Coordinator) handleHeartbeat(req *HeartbeatRequest) (*HeartbeatResponse
 	if req.Metrics != nil {
 		wi.snap = req.Metrics
 		c.updateFleetLocked()
-	}
-	now := c.cfg.now()
-	for _, sh := range c.shards {
-		if sh.status == shardLeased && sh.owner == req.Worker {
-			sh.leaseExp = now.Add(c.cfg.Lease)
-		}
 	}
 	if c.met != nil {
 		c.met.Heartbeats.Inc(0)
@@ -533,11 +544,12 @@ func (c *Coordinator) handleHeartbeat(req *HeartbeatRequest) (*HeartbeatResponse
 
 // handleComplete ingests a shard result, idempotently: the first
 // submission for a shard wins — whether from the current lease holder,
-// a previous holder finishing after expiry, or a reassigned peer — and
-// every later one is acknowledged as a duplicate without double-
-// counting. Fingerprints enter the exchange log only from clean
-// completions (an incomplete shard's subtree is not fully explored, so
-// its fingerprints must not suppress exploration elsewhere).
+// a previous holder finishing after it was declared lost, or a
+// reassigned peer — and every later one is acknowledged as a duplicate
+// without double-counting. Fingerprints enter the exchange log only
+// from clean completions (an incomplete shard's subtree is not fully
+// explored, so its fingerprints must not suppress exploration
+// elsewhere).
 func (c *Coordinator) handleComplete(req *CompleteRequest) (*CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -558,7 +570,7 @@ func (c *Coordinator) handleComplete(req *CompleteRequest) (*CompleteResponse, e
 		})
 		return &CompleteResponse{OK: true, Duplicate: true}, nil
 	}
-	// A late completion from an expired lease may find the shard back
+	// A late completion from a lost owner may find the shard back
 	// on the queue (or even re-leased): the work is identical either
 	// way — paths replay deterministically — so first-wins is safe, and
 	// the queue entry is dropped.
@@ -652,53 +664,36 @@ func (c *Coordinator) finish() {
 	}
 }
 
-// sweep is the lease reaper: expired leases return their shards to the
-// queue, and a fleet silent past WorkerDeadline with shards still
-// pending degrades the run. Runs periodically under Start; the
-// deterministic tests call it directly with a fake clock.
+// sweep is the liveness reaper: it classifies every worker from its
+// heartbeat silence, returns a lost worker's shards to the queue, and
+// degrades a run whose fleet is silent past WorkerDeadline with shards
+// still pending. Runs periodically under Start; the deterministic tests
+// call it directly with a fake clock.
 func (c *Coordinator) sweep(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, sh := range c.shards {
-		if sh.status == shardLeased && now.After(sh.leaseExp) {
-			owner := sh.owner
-			sh.status, sh.owner = shardQueued, ""
-			c.queue = append(c.queue, sh.id)
-			if c.met != nil {
-				c.met.LeasesExpired.Inc(0)
-			}
-			c.cfg.Journal.EmitShard(obslog.ShardLeaseExpired, sh.id, obslog.Fields{
-				Worker: owner, Span: sh.span, Attempt: sh.attempts,
-			})
-			c.cfg.Journal.EmitShard(obslog.ShardRequeued, sh.id, obslog.Fields{
-				Attempt: sh.attempts,
-			})
-		}
-	}
-	// Classify worker liveness from heartbeat silence: live → missed past
-	// ~2 intervals, missed → lost past the 3-heartbeat lease TTL. Each
-	// transition journals once; any contact revives the worker (touch).
+	// live → missed past 2 heartbeats, → lost past 3 (straight from live
+	// when one sweep spans both). Each transition journals once; any
+	// contact revives the worker (touch).
 	for _, id := range c.workerIDsLocked() {
 		wi := c.workers[id]
 		silent := now.Sub(wi.lastSeen)
-		switch wi.state {
-		case workerLive:
-			if silent > 2*c.cfg.Heartbeat {
-				wi.state = workerMissed
-				c.cfg.Journal.Emit(obslog.WorkerHeartbeatMissed, obslog.Fields{
-					Worker: id, Ms: silent.Milliseconds(),
-				})
-			}
-		case workerMissed:
-			if silent > 3*c.cfg.Heartbeat {
-				wi.state = workerLost
-				c.cfg.Journal.Emit(obslog.WorkerLost, obslog.Fields{
-					Worker: id, Ms: silent.Milliseconds(),
-				})
-				// A lost worker's stale snapshot must stop inflating the
-				// fleet aggregation.
-				c.updateFleetLocked()
-			}
+		switch {
+		case wi.state != workerLost && silent > 3*c.cfg.Heartbeat:
+			wi.state = workerLost
+			c.cfg.Journal.Emit(obslog.WorkerLost, obslog.Fields{
+				Worker: id, Ms: silent.Milliseconds(),
+			})
+			c.requeueLocked(id)
+			c.publishLiveLocked()
+			// A lost worker's stale snapshot must stop inflating the
+			// fleet aggregation.
+			c.updateFleetLocked()
+		case wi.state == workerLive && silent > 2*c.cfg.Heartbeat:
+			wi.state = workerMissed
+			c.cfg.Journal.Emit(obslog.WorkerHeartbeatMissed, obslog.Fields{
+				Worker: id, Ms: silent.Milliseconds(),
+			})
 		}
 	}
 	if !c.finished && c.cfg.WorkerDeadline > 0 && now.Sub(c.lastContact) > c.cfg.WorkerDeadline {

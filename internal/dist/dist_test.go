@@ -132,9 +132,10 @@ func TestDistributedEquivalence(t *testing.T) {
 
 // TestDistributedEquivalenceUnderChaos is the headline claim, chaos
 // half: same matrix, but workers are killed, paused, and partitioned on
-// a seeded schedule while lease expiry, reassignment, retry/backoff,
-// and idempotent completion keep the run exact. Short leases and a
-// per-shard delay make faults land mid-shard.
+// a seeded schedule while loss detection, reassignment, retry/backoff,
+// and idempotent completion keep the run exact. A short heartbeat (a
+// worker is lost after 150ms of silence) and a per-shard delay make
+// faults land mid-shard.
 func TestDistributedEquivalenceUnderChaos(t *testing.T) {
 	t.Parallel()
 	suite := enumSuite
@@ -150,8 +151,7 @@ func TestDistributedEquivalenceUnderChaos(t *testing.T) {
 				c := startCoordinator(t, dist.Config{
 					Job:            job,
 					Shards:         8,
-					Lease:          150 * time.Millisecond,
-					Heartbeat:      30 * time.Millisecond,
+					Heartbeat:      50 * time.Millisecond,
 					WorkerDeadline: time.Minute,
 				})
 
@@ -199,7 +199,6 @@ func TestCoordinatorDegradesWhenFleetLost(t *testing.T) {
 	c := startCoordinator(t, dist.Config{
 		Job:            dist.JobSpec{Test: "MP", Model: "Relaxed"},
 		Shards:         4,
-		Lease:          50 * time.Millisecond,
 		Heartbeat:      10 * time.Millisecond,
 		WorkerDeadline: 200 * time.Millisecond,
 	})

@@ -17,12 +17,12 @@ import (
 
 // scriptedIncident drives a coordinator plus two simulated workers
 // through a fixed incident sequence — a worker goes silent mid-lease,
-// its shard expires and is reassigned, the original holder completes
-// late and wins, the reassignee's submission is rejected as a duplicate
-// — entirely under a fake clock, with every process journaling. It
-// returns the three journals merged into one timeline, plus the ledger
-// snapshotted at the moment the silent worker was declared lost and at
-// the end.
+// is declared lost and its shard reassigned, the original holder
+// completes late and wins, the reassignee's submission is rejected as a
+// duplicate — entirely under a fake clock, with every process
+// journaling. It returns the three journals merged into one timeline,
+// plus the ledger snapshotted at the moment the silent worker was
+// declared lost and at the end.
 //
 // The worker-side events are emitted by the test exactly where
 // Worker.Run emits them (started before the shard, completed after,
@@ -38,7 +38,7 @@ func scriptedIncident(t *testing.T) (merged []byte, mid, final StatusResponse) {
 
 	// One clock drives the coordinator AND the journals, so timestamps —
 	// and therefore the merge order — are fully scripted.
-	cfg := Config{Lease: 10 * time.Second, Shards: 4, WorkerDeadline: -1, Journal: jC, Job: testJob()}
+	cfg := Config{Shards: 4, WorkerDeadline: -1, Journal: jC, Job: testJob()}
 	cfg.now = clk.now
 	c, err := NewCoordinator(context.Background(), cfg)
 	if err != nil {
@@ -99,12 +99,12 @@ func scriptedIncident(t *testing.T) (merged []byte, mid, final StatusResponse) {
 		}
 	}
 
-	// w1 is now silent past the lease AND past the worker TTL: the first
-	// sweep expires the lease (and classifies w1 missed), the next one
-	// declares it lost.
-	clk.advance(11 * time.Second)
+	// w1 falls silent past 2 heartbeats, so the first sweep classifies
+	// it missed; past 3, the next one declares it lost and requeues its
+	// shard.
+	clk.advance(7 * time.Second)
 	c.sweep(clk.now())
-	clk.advance(100 * time.Millisecond)
+	clk.advance(4 * time.Second)
 	c.sweep(clk.now())
 	mid = c.Status()
 
@@ -318,7 +318,7 @@ func TestHeartbeatSnapshotAggregation(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	fleet := telemetry.NewFleetMetrics(reg)
 	c, clk := newTestCoordinator(t, Config{
-		Lease: 10 * time.Second, Shards: 4, WorkerDeadline: -1, Fleet: fleet,
+		Shards: 4, WorkerDeadline: -1, Fleet: fleet,
 	})
 	for _, id := range []string{"w1", "w2"} {
 		if _, err := c.handleRegister(&RegisterRequest{Worker: id}); err != nil {
@@ -359,5 +359,34 @@ func TestHeartbeatSnapshotAggregation(t *testing.T) {
 	}
 	if got := reg.Snapshot()["dist_fleet_snapshot_workers"]; got != 1 {
 		t.Errorf("dist_fleet_snapshot_workers = %d with w1 lost; want 1", got)
+	}
+}
+
+// TestWorkersLiveFollowsLedger: dist_workers_live is published from the
+// sweep's liveness classification, so it drops with the ledger when the
+// fleet falls silent, not at the next contact.
+func TestWorkersLiveFollowsLedger(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c, clk := newTestCoordinator(t, Config{Shards: 4, WorkerDeadline: -1, Metrics: telemetry.NewDistMetrics(reg)})
+	for _, id := range []string{"w1", "w2"} {
+		if _, err := c.handleRegister(&RegisterRequest{Worker: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Snapshot()["dist_workers_live"]; got != 2 {
+		t.Fatalf("dist_workers_live = %d after two registrations; want 2", got)
+	}
+
+	// Both fall silent past 3 heartbeats (default 10s/3); one sweep.
+	clk.advance(11 * time.Second)
+	c.sweep(clk.now())
+	if got := reg.Snapshot()["dist_workers_live"]; got != 0 {
+		t.Errorf("dist_workers_live = %d with the fleet silent 11s; want 0", got)
+	}
+	st := c.Status()
+	for _, id := range []string{"w1", "w2"} {
+		if w := workerRow(st, id); w == nil || w.State != "lost" {
+			t.Errorf("%s = %+v; want lost", id, w)
+		}
 	}
 }

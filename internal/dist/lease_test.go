@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"storeatomicity/internal/core"
+	"storeatomicity/internal/telemetry"
 )
 
 // fakeClock is a hand-cranked clock for deterministic lease tests: no
@@ -60,12 +61,12 @@ func runShardFor(t *testing.T, c *Coordinator, w string, resp *LeaseResponse) *C
 }
 
 // TestLeaseExpiryReassignIdempotent is the acceptance-criterion unit
-// test: worker A leases a shard, goes silent past the lease, the sweep
-// returns the shard to the queue, worker B leases and completes it, and
-// A's late submission is absorbed as a duplicate — the shard counted
-// exactly once, the final merge exact.
+// test: worker A leases a shard, goes silent past 3 heartbeats, the
+// sweep declares it lost and returns the shard to the queue, worker B
+// leases and completes it, and A's late submission is absorbed as a
+// duplicate — the shard counted exactly once, the final merge exact.
 func TestLeaseExpiryReassignIdempotent(t *testing.T) {
-	cfg := Config{Lease: 10 * time.Second, Shards: 4, WorkerDeadline: -1}
+	cfg := Config{Shards: 4, WorkerDeadline: -1}
 	c, clk := newTestCoordinator(t, cfg)
 	if len(c.shards) < 2 {
 		t.Fatalf("partition produced %d shards; want >= 2", len(c.shards))
@@ -78,7 +79,8 @@ func TestLeaseExpiryReassignIdempotent(t *testing.T) {
 	}
 	shardID := respA.Shard
 
-	// A goes silent; the lease expires and the sweep requeues the shard.
+	// A goes silent past 3 heartbeats; the sweep declares it lost and
+	// requeues the shard.
 	clk.advance(11 * time.Second)
 	c.sweep(clk.now())
 	c.mu.Lock()
@@ -182,10 +184,10 @@ func assertMatchesSequential(t *testing.T, c *Coordinator, res *core.Result) {
 	}
 }
 
-// TestHeartbeatRenewsLease: a heartbeating worker's lease never
-// expires, however far past the nominal lease duration the clock runs.
+// TestHeartbeatRenewsLease: a heartbeating worker is never declared
+// lost, so it keeps its shard however far the clock runs.
 func TestHeartbeatRenewsLease(t *testing.T) {
-	c, clk := newTestCoordinator(t, Config{Lease: 10 * time.Second, Shards: 4, WorkerDeadline: -1})
+	c, clk := newTestCoordinator(t, Config{Shards: 4, WorkerDeadline: -1})
 	resp := lease(t, c, "A")
 	for i := 0; i < 10; i++ {
 		clk.advance(8 * time.Second)
@@ -202,11 +204,85 @@ func TestHeartbeatRenewsLease(t *testing.T) {
 	}
 }
 
+// TestReregisterRequeuesStrandedShard: a worker restarted under its own
+// ID registers again while its previous incarnation still holds a
+// shard. The new process holds nothing, so registration must return
+// that shard to the queue: the restarted worker's heartbeats keep the
+// worker live, and if they kept the old shard held too the run would
+// never finish (nor degrade, since contact never stops).
+func TestReregisterRequeuesStrandedShard(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c, clk := newTestCoordinator(t, Config{Shards: 4, WorkerDeadline: -1, Metrics: telemetry.NewDistMetrics(reg)})
+	if _, err := c.handleRegister(&RegisterRequest{Worker: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	stranded := lease(t, c, "A")
+	if stranded.Wait || stranded.Done {
+		t.Fatalf("A got no shard: %+v", stranded)
+	}
+
+	// A crashes mid-shard and comes straight back under the same ID,
+	// well inside the 3-heartbeat loss window.
+	clk.advance(time.Second)
+	if _, err := c.handleRegister(&RegisterRequest{Worker: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	st, owner := c.shards[stranded.Shard].status, c.shards[stranded.Shard].owner
+	c.mu.Unlock()
+	if st != shardQueued {
+		t.Errorf("shard %d is %v (owner %q) after A registered again; want queued", stranded.Shard, st, owner)
+	}
+	if got := reg.Snapshot()["dist_leases_expired_total"]; got != 1 {
+		t.Errorf("dist_leases_expired_total = %d after the re-registration; want 1", got)
+	}
+
+	// The restarted A heartbeats on schedule and drains the queue. Ten
+	// simulated minutes is far past any loss window.
+	reattempt := 0
+	for i := 0; i < 600; i++ {
+		clk.advance(time.Second)
+		if _, err := c.handleHeartbeat(&HeartbeatRequest{Worker: "A"}); err != nil {
+			t.Fatal(err)
+		}
+		c.sweep(clk.now())
+		r := lease(t, c, "A")
+		if r.Done {
+			break
+		}
+		if r.Wait {
+			continue
+		}
+		if r.Shard == stranded.Shard {
+			reattempt = r.Attempt
+		}
+		if _, err := c.handleComplete(runShardFor(t, c, "A", r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-c.done:
+	default:
+		c.mu.Lock()
+		st, attempts := c.shards[stranded.Shard].status, c.shards[stranded.Shard].attempts
+		c.mu.Unlock()
+		t.Fatalf("run did not finish after 10 simulated minutes: shard %d is %v at attempt %d", stranded.Shard, st, attempts)
+	}
+	if reattempt != 2 {
+		t.Errorf("stranded shard %d re-leased at attempt %d; want 2", stranded.Shard, reattempt)
+	}
+	res, err := c.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesSequential(t, c, res)
+}
+
 // TestWorkerDeadlineDegrades: a fleet that never comes back trips the
 // worker deadline and the run degrades to a structured Incomplete whose
 // frontier is the pending shards — not a hang, not a silent partial.
 func TestWorkerDeadlineDegrades(t *testing.T) {
-	c, clk := newTestCoordinator(t, Config{Lease: 10 * time.Second, Shards: 4, WorkerDeadline: 30 * time.Second})
+	c, clk := newTestCoordinator(t, Config{Shards: 4, WorkerDeadline: 30 * time.Second})
 	resp := lease(t, c, "A")
 	if _, err := c.handleComplete(runShardFor(t, c, "A", resp)); err != nil {
 		t.Fatal(err)
@@ -243,7 +319,7 @@ func TestWorkerDeadlineDegrades(t *testing.T) {
 // flow to later leases in batches of at most 8192, and the sequence
 // cursor advances so nothing is re-shipped.
 func TestFingerprintExchangeBatches(t *testing.T) {
-	c, _ := newTestCoordinator(t, Config{Lease: 10 * time.Second, Shards: 4, WorkerDeadline: -1})
+	c, _ := newTestCoordinator(t, Config{Shards: 4, WorkerDeadline: -1})
 	respA := lease(t, c, "A")
 	reqA := runShardFor(t, c, "A", respA)
 	const sent = 8192 + 5
@@ -280,7 +356,7 @@ func TestFingerprintExchangeBatches(t *testing.T) {
 // source) is refused at lease and completion time, not just at
 // registration — its shards and submissions never touch the merge.
 func TestLeaseRefusesProgramHashSkew(t *testing.T) {
-	c, _ := newTestCoordinator(t, Config{Lease: 10 * time.Second, Shards: 4, WorkerDeadline: -1})
+	c, _ := newTestCoordinator(t, Config{Shards: 4, WorkerDeadline: -1})
 	if _, err := c.handleLease(&LeaseRequest{Worker: "stale", ProgramHash: 0xbad}); err == nil {
 		t.Error("lease with skewed program hash accepted")
 	}
@@ -297,7 +373,7 @@ func TestLeaseRefusesProgramHashSkew(t *testing.T) {
 // coordinator degradation — re-running the same shard elsewhere would
 // hit the same budget, so honesty beats retry.
 func TestIncompleteShardDegradesRun(t *testing.T) {
-	c, _ := newTestCoordinator(t, Config{Lease: 10 * time.Second, Shards: 4, WorkerDeadline: -1})
+	c, _ := newTestCoordinator(t, Config{Shards: 4, WorkerDeadline: -1})
 	resp := lease(t, c, "A")
 	req := &CompleteRequest{
 		Worker: "A", Shard: resp.Shard,

@@ -1,12 +1,13 @@
 // Package dist is the fault-tolerant distributed enumeration layer: a
 // coordinator partitions the behavior tree into replayable-path shards
 // (core.PartitionFrontier) and hands them to worker processes over a
-// small HTTP/JSON protocol, with lease-based shard ownership, worker
-// heartbeats, capped-exponential retry with jitter on every
-// worker→coordinator call, idempotent result submission keyed by shard
-// ID, and a batched dedup-fingerprint exchange. When workers are lost
-// past a deadline the coordinator degrades to a structured
-// core.Incomplete report whose frontier is the unfinished shards.
+// small HTTP/JSON protocol, with each shard held exactly while its
+// owner's heartbeats say it is live, capped-exponential retry with
+// jitter on every worker→coordinator call, idempotent result submission
+// keyed by shard ID, and a batched dedup-fingerprint exchange. When
+// workers are lost past a deadline the coordinator degrades to a
+// structured core.Incomplete report whose frontier is the unfinished
+// shards.
 //
 // The protocol is deliberately minimal — five POST endpoints carrying
 // JSON bodies, stdlib only, mirroring internal/telemetry's server
@@ -105,11 +106,11 @@ type RegisterRequest struct {
 	ProgramHash uint64 `json:"program_hash,omitempty"`
 }
 
-// RegisterResponse hands the worker its job, the lease discipline, and
+// RegisterResponse hands the worker its job, its heartbeat interval (a
+// worker silent past 3 of them is lost and its shards are requeued), and
 // the run ID every journal event and trace must carry.
 type RegisterResponse struct {
 	Job             JobSpec `json:"job"`
-	LeaseMillis     int64   `json:"lease_ms"`
 	HeartbeatMillis int64   `json:"heartbeat_ms"`
 	// RunID is the coordinator's authoritative run identity; workers
 	// stamp it on their journals and traces so N processes' output
@@ -140,9 +141,8 @@ type LeaseResponse struct {
 	Wait        bool  `json:"wait,omitempty"`
 	RetryMillis int64 `json:"retry_ms,omitempty"`
 	// Shard identifies the granted work unit; Path replays to it.
-	Shard       int             `json:"shard"`
-	Path        []core.PathStep `json:"path"`
-	LeaseMillis int64           `json:"lease_ms,omitempty"`
+	Shard int             `json:"shard"`
+	Path  []core.PathStep `json:"path"`
 	// Fingerprints is the fresh slice of the dedup exchange log
 	// starting at the worker's FpSeq; FpNext is the new consumed index.
 	Fingerprints []uint64 `json:"fingerprints,omitempty"`
@@ -156,7 +156,8 @@ type LeaseResponse struct {
 	Attempt int `json:"attempt,omitempty"`
 }
 
-// HeartbeatRequest keeps a worker's leases alive. Metrics piggybacks a
+// HeartbeatRequest keeps a worker live, and so keeps every shard it
+// holds; any other call counts as contact too. Metrics piggybacks a
 // compact snapshot of the worker's counters; the coordinator folds the
 // live fleet's snapshots into the dist_fleet_* aggregation series.
 type HeartbeatRequest struct {
@@ -196,7 +197,7 @@ type CompleteRequest struct {
 type CompleteResponse struct {
 	OK bool `json:"ok"`
 	// Duplicate: this shard was already completed (by this worker after
-	// a lease expiry, or by a reassigned peer); the submission was
+	// it was declared lost, or by a reassigned peer); the submission was
 	// discarded without double-counting.
 	Duplicate bool `json:"duplicate,omitempty"`
 }
@@ -218,8 +219,8 @@ type ShardLedger struct {
 // WorkerLedger is one row of the /status worker table.
 type WorkerLedger struct {
 	ID string `json:"id"`
-	// State is live, missed (silent past ~2 heartbeats), or lost
-	// (silent past the worker TTL; its leases will expire).
+	// State is live, missed (silent past 2 heartbeats), or lost
+	// (silent past 3 heartbeats; its shards are back in the queue).
 	State string `json:"state"`
 	// LastSeenMs is milliseconds since the worker's last contact.
 	LastSeenMs int64 `json:"last_seen_ms"`

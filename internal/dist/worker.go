@@ -112,8 +112,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // Run registers, heartbeats, and drains leases until the coordinator
 // says Done (nil), the context ends (ctx.Err()), or retries exhaust
 // (the transport error). A context cancellation mid-shard abandons the
-// shard WITHOUT posting a completion: the lease expires and the shard
-// is reassigned — the crash-model contract the chaos tests enforce.
+// shard WITHOUT posting a completion: the worker falls silent, the
+// coordinator declares it lost, and the shard is reassigned — the
+// crash-model contract the chaos tests enforce.
 func (w *Worker) Run(ctx context.Context) error {
 	var reg RegisterResponse
 	if err := w.c.call(ctx, PathRegister, &RegisterRequest{Worker: w.cfg.ID}, &reg); err != nil {
@@ -143,8 +144,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.heartbeatEvery = time.Second
 	}
 
-	// Heartbeat loop: renews every lease this worker holds. Torn down
-	// before Run returns, so the leak gate stays clean.
+	// Heartbeat loop: keeps this worker live, and so keeps the shard it
+	// holds. Torn down before Run returns, so the leak gate stays clean.
 	hbCtx, hbCancel := context.WithCancel(ctx)
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
@@ -222,7 +223,8 @@ func (w *Worker) ingestFingerprints(lease *LeaseResponse) {
 // engine run is seeded with the fingerprints of peers' already-merged
 // shards (pure pruning; see core/partition.go) and exports its own for
 // the exchange. A ctx cancellation mid-run returns the error without
-// posting — the lease will expire and the shard be reassigned.
+// posting — the coordinator will declare the worker lost and reassign
+// the shard.
 func (w *Worker) runShard(ctx context.Context, lease *LeaseResponse) error {
 	if d := w.cfg.ShardDelay; d > 0 {
 		select {

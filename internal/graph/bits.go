@@ -50,17 +50,6 @@ func (b Bits) OrChanged(o Bits) bool {
 	return changed
 }
 
-// SetChanged sets bit i and reports whether it was previously clear.
-func (b Bits) SetChanged(i int) bool {
-	w := &b[i>>6]
-	mask := uint64(1) << uint(i&63)
-	if *w&mask != 0 {
-		return false
-	}
-	*w |= mask
-	return true
-}
-
 // OrInto sets dst |= src, growing dst's backing array first when src is
 // wider (Or alone requires equal capacity). It returns the destination,
 // like append.

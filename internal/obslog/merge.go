@@ -70,17 +70,3 @@ func MergeLines(streams ...io.Reader) ([][]byte, error) {
 	}
 	return out, nil
 }
-
-// Merge writes the merged timeline of the given streams to w as NDJSON.
-func Merge(w io.Writer, streams ...io.Reader) error {
-	lines, err := MergeLines(streams...)
-	if err != nil {
-		return err
-	}
-	for _, line := range lines {
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-	}
-	return nil
-}

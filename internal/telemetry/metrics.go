@@ -252,7 +252,7 @@ func NewDistMetrics(reg *Registry) *DistMetrics {
 	m.Fingerprints = reg.NewCounter("dist_fingerprints_total", "dedup fingerprints exchanged between shards")
 	m.Duplicates = reg.NewCounter("dist_duplicate_results_total", "shard completions rejected as duplicates (idempotent resubmission)")
 	m.ShardsTotal = reg.NewGauge("dist_shards", "shards in this run's partition")
-	m.WorkersLive = reg.NewGauge("dist_workers_live", "workers currently registered and heartbeating")
+	m.WorkersLive = reg.NewGauge("dist_workers_live", "workers the coordinator's sweep has not declared lost")
 	m.ShardNs = reg.NewHistogramMetric("dist_shard_ns", "per-shard lease-to-completion latency", latencyNsBounds)
 	return m
 }

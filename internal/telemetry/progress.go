@@ -2,37 +2,41 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"os"
-	"strings"
 	"sync"
 	"time"
 )
 
-// Progress renders a live single-line status for a running enumeration
-// to a terminal: behaviors found, states/sec, frontier depth, dedup hit
-// rate, and an ETA against whichever budget binds first (the MaxBehaviors
-// state budget or a wall-clock deadline). The line is redrawn in place
-// with \r and cleared on Stop, so it never pollutes piped output — by
-// convention callers enable it only when the writer is a terminal (see
-// IsTerminal).
+// StatusSink owns a terminal's single in-place status line;
+// obslog.Console implements it, serializing the line with every other
+// write to the stream so neither tears the other.
+type StatusSink interface {
+	SetStatus(string)
+	ClearStatus()
+}
+
+// Progress renders a live single-line status for a running enumeration:
+// behaviors found, states/sec, frontier depth, dedup hit rate, and an
+// ETA against whichever budget binds first (the MaxBehaviors state
+// budget or a wall-clock deadline). Each refresh replaces the sink's
+// status line and Stop clears it, so it never pollutes piped output —
+// by convention callers enable it only on a terminal (see IsTerminal).
 type Progress struct {
 	met      *EnumMetrics
-	w        io.Writer
+	sink     StatusSink
 	budget   int64
 	deadline time.Time
 
 	mu       sync.Mutex
 	stop     chan struct{}
 	done     chan struct{}
-	lastLen  int
 	prev     int64
 	prevTime time.Time
 }
 
 // StartProgress begins redrawing every interval (default 500ms) until
 // Stop. Returns nil (a safe no-op) when met is nil.
-func StartProgress(w io.Writer, met *EnumMetrics, budget int, deadline time.Time, interval time.Duration) *Progress {
+func StartProgress(sink StatusSink, met *EnumMetrics, budget int, deadline time.Time, interval time.Duration) *Progress {
 	if met == nil {
 		return nil
 	}
@@ -40,7 +44,7 @@ func StartProgress(w io.Writer, met *EnumMetrics, budget int, deadline time.Time
 		interval = 500 * time.Millisecond
 	}
 	p := &Progress{
-		met: met, w: w, budget: int64(budget), deadline: deadline,
+		met: met, sink: sink, budget: int64(budget), deadline: deadline,
 		stop: make(chan struct{}), done: make(chan struct{}),
 		prevTime: time.Now(),
 	}
@@ -81,7 +85,7 @@ func (p *Progress) draw() {
 	if eta, label := p.eta(explored, rate, now); label != "" {
 		line += fmt.Sprintf(" | %s %s", label, eta)
 	}
-	p.print(line)
+	p.sink.SetStatus(line)
 	p.mu.Unlock()
 }
 
@@ -106,30 +110,6 @@ func (p *Progress) eta(explored int64, rate float64, now time.Time) (string, str
 	return "", ""
 }
 
-// statusSink is a writer that owns the in-place status line itself —
-// obslog.Console implements it. Detected structurally so telemetry
-// never imports obslog: when the progress writer is a Console, redraws
-// route through it and the live line can no longer tear a structured
-// event mid-write (or vice versa).
-type statusSink interface {
-	SetStatus(string)
-	ClearStatus()
-}
-
-// print redraws the line in place, padding over the previous render.
-func (p *Progress) print(line string) {
-	if sink, ok := p.w.(statusSink); ok {
-		sink.SetStatus(line)
-		return
-	}
-	pad := ""
-	if n := p.lastLen - len(line); n > 0 {
-		pad = strings.Repeat(" ", n)
-	}
-	fmt.Fprintf(p.w, "\r%s%s", line, pad)
-	p.lastLen = len(line)
-}
-
 // Stop halts the redraw loop and clears the line. Nil-safe.
 func (p *Progress) Stop() {
 	if p == nil {
@@ -138,11 +118,7 @@ func (p *Progress) Stop() {
 	close(p.stop)
 	<-p.done
 	p.mu.Lock()
-	if sink, ok := p.w.(statusSink); ok {
-		sink.ClearStatus()
-	} else if p.lastLen > 0 {
-		fmt.Fprintf(p.w, "\r%s\r", strings.Repeat(" ", p.lastLen))
-	}
+	p.sink.ClearStatus()
 	p.mu.Unlock()
 }
 

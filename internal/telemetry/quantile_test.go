@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -116,15 +115,3 @@ func TestProgressRoutesThroughStatusSink(t *testing.T) {
 		t.Fatalf("progress wrote %d raw chunks past the sink", sink.rawWrites)
 	}
 }
-
-type recordingSink struct {
-	statuses  []string
-	cleared   bool
-	rawWrites int
-}
-
-func (r *recordingSink) Write(p []byte) (int, error) { r.rawWrites++; return len(p), nil }
-func (r *recordingSink) SetStatus(s string)          { r.statuses = append(r.statuses, s) }
-func (r *recordingSink) ClearStatus()                { r.cleared = true }
-
-var _ io.Writer = (*recordingSink)(nil)
