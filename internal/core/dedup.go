@@ -6,9 +6,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-
-	"storeatomicity/internal/obslog"
-	"storeatomicity/internal/telemetry"
 )
 
 // Load–Store-graph dedup keys (Section 4.1). The enumeration engine keys
@@ -25,10 +22,21 @@ import (
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
+	// fnvPrime64x4 is fnvPrime64⁴ mod 2⁶⁴: FNV-1a's step over a zero
+	// byte is a bare multiply, so a byte followed by three zero bytes
+	// folds in one xor and this multiply.
+	fnvPrime64x4 = 11527715348014283921
 )
 
-// fnvMix folds one 64-bit word into an FNV-1a hash, byte by byte.
+// fnvMix folds one 64-bit word into an FNV-1a hash, byte by byte. Every
+// (id, source) pair word and every byte that fingerprinting feeds it has
+// only bytes 0 and 4 set; those take the two-step path, which computes
+// the same value as the byte loop.
 func fnvMix(h, v uint64) uint64 {
+	if v&0xffffff00_ffffff00 == 0 {
+		h = (h ^ v&0xff) * fnvPrime64x4
+		return (h ^ v>>32) * fnvPrime64x4
+	}
 	for i := 0; i < 8; i++ {
 		h ^= v & 0xff
 		h *= fnvPrime64
@@ -69,8 +77,7 @@ type shardedSet struct {
 	mask      uint64
 	useString bool
 	budget    int64 // per-shard spill budget; 0 keeps in-memory maps
-	met       *telemetry.EnumMetrics
-	journal   *obslog.Journal
+	spill     spillShared
 }
 
 // keyShard is one shard; execs holds the executions recorded into it.
@@ -102,9 +109,13 @@ func (k *shardedSet) init(workers int, opts Options, budget int64) {
 	}
 	n := int64(len(k.shards))
 	k.mask = uint64(n - 1)
-	k.useString, k.met, k.journal = opts.dedupString, opts.Metrics, opts.Journal
+	k.useString = opts.dedupString
+	k.spill.met, k.spill.jl = opts.Metrics, opts.Journal
 	if budget > 0 && !k.useString {
 		k.budget = max(budget/n, 1)
+		if opts.Metrics != nil {
+			opts.Metrics.DedupBudget.Set(budget)
+		}
 	}
 }
 
@@ -117,7 +128,7 @@ func (k *shardedSet) lock(h uint64) *keyShard {
 	case k.useString:
 		sh.strs = map[string]struct{}{}
 	case k.budget > 0:
-		sh.spill = newSpillStore(k.budget, k.met, k.journal)
+		sh.spill = newSpillStore(k.budget, &k.spill)
 	default:
 		sh.seen = map[uint64]struct{}{}
 	}
@@ -309,13 +320,15 @@ func (k *shardedSet) degradations() []string {
 	return out
 }
 
-// release frees every shard's disk-backed tier.
+// release frees every shard's disk-backed tier. The workers have joined,
+// so it also publishes the spill gauges' final, exact values.
 func (k *shardedSet) release() {
 	for i := range k.shards {
 		if sp := k.shards[i].spill; sp != nil {
 			sp.release()
 		}
 	}
+	k.spill.publish()
 }
 
 // checkCollision records sig as h's signature, and panics with the

@@ -146,3 +146,52 @@ func TestExecutionFingerprintDistinguishes(t *testing.T) {
 		}
 	}
 }
+
+// fnvMixBytes is the plain FNV-1a byte loop that fnvMix's two-step path
+// must match: the oracle for TestFnvMixMatchesByteLoop.
+func fnvMixBytes(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// TestFnvMixMatchesByteLoop: fnvMix returns the byte loop's value for
+// every word, on both sides of its two-step condition — edge words, the
+// NoNode pairs, and random dense and sparse words — and its folded
+// prime is fnvPrime64⁴.
+func TestFnvMixMatchesByteLoop(t *testing.T) {
+	if p := uint64(fnvPrime64); p*p*p*p != fnvPrime64x4 {
+		t.Fatalf("fnvPrime64x4 = %d, want fnvPrime64^4 = %d", uint64(fnvPrime64x4), p*p*p*p)
+	}
+	source := NoNode // a variable: the constant -1 does not convert to uint32
+	noNode := uint64(uint32(source))
+	words := []uint64{
+		0, 1, 0xff, 0x100, 0x1ff, 1 << 32, 0xff << 32, 0x100 << 32,
+		0xff<<32 | 0xff, 0xffffff00_ffffff00, ^uint64(0),
+		noNode, noNode << 32, noNode<<32 | 7, 7<<32 | noNode,
+	}
+	check := func(h, v uint64) {
+		if got, want := fnvMix(h, v), fnvMixBytes(h, v); got != want {
+			t.Fatalf("fnvMix(%#x, %#x) = %#x, byte loop %#x", h, v, got, want)
+		}
+	}
+	for _, v := range words {
+		check(fnvOffset64, v)
+		check(splitmix64(v), v)
+	}
+	h := uint64(fnvOffset64)
+	for i := uint64(0); i < 1<<20; i++ {
+		r := splitmix64(i)
+		// Alternate dense words with sparse ones (bytes 0 and 4 only),
+		// chaining the hash so every step starts from a fresh state.
+		v := r
+		if i&1 == 0 {
+			v = r & 0x000000ff_000000ff
+		}
+		check(h, v)
+		h = fnvMix(h, v)
+	}
+}

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 	"sort"
+	"sync/atomic"
 
 	"storeatomicity/internal/obslog"
 	"storeatomicity/internal/telemetry"
@@ -17,10 +20,23 @@ import (
 // program, so it alone decides the largest search a host can run. A
 // spillStore keeps dedup working past that point: a hot in-memory tier
 // absorbs inserts, and when it reaches its budgeted size its
-// fingerprints are sorted and flushed as an immutable run file. Lookups
-// check the hot tier, then binary-search each run through a sparse
-// in-memory index (one key per block, so the resident cost of a spilled
-// run is 1/spillBlockKeys of its size plus one block-sized read buffer).
+// fingerprints are sorted and flushed as an immutable run file. Each run
+// keeps a sparse in-memory index (one key per block) and a Bloom filter
+// built while the run is written. A lookup that misses the hot tier asks
+// each run's filter first, and reads a block only from the runs whose
+// filter answers "maybe": a filter "no" is exact, so a fresh key usually
+// reads nothing, and a spilled key reads about one block.
+//
+// The filters live inside the budget. The hot tier starts at
+// budget/spillHotBytesPerKey keys, so a search that never flushes is
+// unchanged; after each flush or compaction it shrinks to what the
+// filters leave. The filters never hold more than half the budget: a new
+// run's filter gets at most spillFilterBitsPerKey bits per key out of
+// what is left of that half, and a compaction resizes the merged run's
+// filter to fit the half with room for the runs still to come. As a
+// search outgrows its budget, bits per key fall; below
+// spillFilterMinBitsPerKey the store drops its filters and the hot tier
+// takes the whole budget again, which is the store without filters.
 //
 // Runs never share keys — a fingerprint is inserted into the hot tier
 // only after missing every tier — so membership is "any tier has it" and
@@ -48,24 +64,72 @@ const (
 	// spillHotBytesPerKey is the budgeted resident cost of one hot-tier
 	// entry (map bucket + overhead, amortized).
 	spillHotBytesPerKey = 16
+	// spillFilterBitsPerKey caps a run filter's density: 10 bits per
+	// key with 7 probes passes about 1% of the keys a run does not hold.
+	spillFilterBitsPerKey = 10
+	// spillFilterMinBitsPerKey is the thinnest filter worth its bytes:
+	// below one bit per key a filter passes most keys a run does not
+	// hold, and its bytes are better spent on the hot tier.
+	spillFilterMinBitsPerKey = 1
 )
 
 // spillRun is one immutable sorted run of fingerprints on disk: n keys
 // as little-endian uint64s, with the first key of each block mirrored in
-// the in-memory index.
+// the in-memory index, and the run's Bloom filter.
 type spillRun struct {
-	f     *os.File
-	n     int
-	index []uint64
+	f      *os.File
+	n      int
+	index  []uint64
+	filter runFilter
+}
+
+// spillShared is what the stores of one seen-set share: the metrics, the
+// journal, and the set-wide totals behind the resident and run-file
+// gauges, kept the way wsEngine.resident feeds frontier_resident_bytes,
+// so the gauges describe the whole set rather than the shard that wrote
+// last.
+type spillShared struct {
+	met                *telemetry.EnumMetrics
+	jl                 *obslog.Journal
+	resident, runfiles atomic.Int64
+}
+
+// account adds a change in one store's resident bytes and live run files
+// to the set-wide gauges (maintained only with metrics on).
+func (sh *spillShared) account(resident, runfiles int64) {
+	if sh.met == nil {
+		return
+	}
+	sh.met.DedupResident.Set(sh.resident.Add(resident))
+	if runfiles != 0 {
+		sh.met.DedupRunFiles.Set(sh.runfiles.Add(runfiles))
+	}
+}
+
+// publish sets the gauges from the totals. Two shards' updates can cross
+// between their Add and Set, so the engine publishes once more after its
+// workers have joined, which makes the final values exact.
+func (sh *spillShared) publish() {
+	if sh.met == nil {
+		return
+	}
+	sh.met.DedupResident.Set(sh.resident.Load())
+	sh.met.DedupRunFiles.Set(sh.runfiles.Load())
 }
 
 // spillStore is the tiered fingerprint set described above. It is not
 // safe for concurrent use; the engine gives each dedup shard
 // its own store under the existing shard mutex.
 type spillStore struct {
+	budget int64
 	hotCap int
 	hot    map[uint64]struct{}
 	runs   []*spillRun
+	// filterBytes is what the runs' filters hold, at most budget/2;
+	// filterRate is the bits per key a flushed run's filter may take,
+	// spillFilterBitsPerKey until a compaction lowers it.
+	filterBytes int64
+	filterRate  float64
 	// broken latches a flush failure: the store stops spilling and
 	// degrades to an ordinary in-memory set.
 	broken bool
@@ -74,33 +138,33 @@ type spillStore struct {
 	// say *why* the run fell back, not just that it did.
 	degraded []string
 
-	runsC     *telemetry.Counter
-	compactC  *telemetry.Counter
-	runfilesG *telemetry.Gauge
-	residentG *telemetry.Gauge
-	jl        *obslog.Journal
+	sh                               *spillShared
+	runsC, probesC, readsC, compactC *telemetry.Counter
 
 	sortBuf  []uint64 // flush scratch
 	blockBuf []byte   // cold-probe read buffer (one block)
-
-	probesC *telemetry.Counter
 }
 
-// newSpillStore sizes a store to a byte budget (the hot tier holds
-// budget/spillHotBytesPerKey fingerprints, minimum one).
-func newSpillStore(budget int64, met *telemetry.EnumMetrics, jl *obslog.Journal) *spillStore {
-	hotCap := budget / spillHotBytesPerKey
-	if hotCap < 1 {
-		hotCap = 1
-	}
-	st := &spillStore{hotCap: int(hotCap), hot: make(map[uint64]struct{}), jl: jl}
-	if met != nil {
-		st.runsC, st.probesC = met.SpillRuns, met.SpillProbes
+// newSpillStore sizes a store to a byte budget: the hot tier starts at
+// budget/spillHotBytesPerKey fingerprints, minimum one.
+func newSpillStore(budget int64, sh *spillShared) *spillStore {
+	st := &spillStore{budget: budget, hot: make(map[uint64]struct{}), filterRate: spillFilterBitsPerKey, sh: sh}
+	st.fitHot()
+	if met := sh.met; met != nil {
+		st.runsC, st.probesC, st.readsC = met.SpillRuns, met.SpillProbes, met.SpillReads
 		st.compactC = met.SpillCompactions
-		st.runfilesG, st.residentG = met.DedupRunFiles, met.DedupResident
-		met.DedupBudget.Set(budget)
 	}
 	return st
+}
+
+// fitHot sizes the hot tier to the budget the filters leave.
+func (st *spillStore) fitHot() {
+	st.hotCap = int(max((st.budget-st.filterBytes)/spillHotBytesPerKey, 1))
+}
+
+// resident is the store's budgeted footprint: hot entries plus filters.
+func (st *spillStore) resident() int64 {
+	return int64(len(st.hot))*spillHotBytesPerKey + st.filterBytes
 }
 
 // degrade records one degradation reason per leg (the first failure of
@@ -114,10 +178,11 @@ func (st *spillStore) degrade(leg string, err error) {
 		}
 	}
 	st.degraded = append(st.degraded, fmt.Sprintf("%s: %v", leg, err))
-	st.jl.Emit(obslog.SpillDegraded, obslog.Fields{Detail: leg, Err: err.Error()})
+	st.sh.jl.Emit(obslog.SpillDegraded, obslog.Fields{Detail: leg, Err: err.Error()})
 }
 
-// contains reports whether h is in any tier.
+// contains reports whether h is in any tier. Runs whose filter rules h
+// out are skipped without a read.
 func (st *spillStore) contains(h uint64) bool {
 	if _, ok := st.hot[h]; ok {
 		return true
@@ -125,11 +190,10 @@ func (st *spillStore) contains(h uint64) bool {
 	if len(st.runs) == 0 {
 		return false
 	}
-	if st.probesC != nil {
-		st.probesC.Inc(0)
-	}
+	st.probesC.Inc(0)
+	x := filterKey(h)
 	for _, r := range st.runs {
-		if st.runContains(r, h) {
+		if r.filter.mayContain(x) && st.runContains(r, h) {
 			return true
 		}
 	}
@@ -143,7 +207,7 @@ func (st *spillStore) insert(h uint64) bool {
 		return false
 	}
 	st.hot[h] = struct{}{}
-	st.residentG.Set(int64(len(st.hot)) * spillHotBytesPerKey)
+	st.sh.account(spillHotBytesPerKey, 0)
 	if len(st.hot) >= st.hotCap && !st.broken {
 		st.flush()
 	}
@@ -167,6 +231,7 @@ func (st *spillStore) runContains(r *spillRun, h uint64) bool {
 		st.blockBuf = make([]byte, spillBlockKeys*8)
 	}
 	buf := st.blockBuf[:count*8]
+	st.readsC.Inc(0)
 	if _, err := r.f.ReadAt(buf, int64(blk)*spillBlockKeys*8); err != nil {
 		st.degrade("read", err)
 		return false
@@ -187,8 +252,10 @@ func (st *spillStore) runContains(r *spillRun, h uint64) bool {
 	return false
 }
 
-// flush sorts the hot tier into a new run file. On any I/O error the
-// store is marked broken and the keys stay in memory.
+// flush sorts the hot tier into a new run file, whose filter takes at
+// most filterRate bits per key from what is left of the filters' half of
+// the budget, and then refits the hot tier. On any I/O error the store
+// is marked broken and the keys stay in memory.
 func (st *spillStore) flush() {
 	keys := st.sortBuf[:0]
 	for h := range st.hot {
@@ -197,34 +264,42 @@ func (st *spillStore) flush() {
 	st.sortBuf = keys
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
-	r, err := writeRun(&sliceSource{keys: keys})
+	resident, files := st.resident(), len(st.runs)
+	r, err := writeRun(&sliceSource{keys: keys}, len(keys), filterSize(len(keys), st.filterRate, st.budget/2-st.filterBytes))
 	if err != nil {
 		st.broken = true
 		st.degrade("flush", err)
 		return
 	}
 	st.runs = append(st.runs, r)
-	st.hot = make(map[uint64]struct{}, st.hotCap)
-	if st.runsC != nil {
-		st.runsC.Inc(0)
-	}
-	st.residentG.Set(0)
+	st.filterBytes += r.filter.bytes()
+	clear(st.hot)
+	st.runsC.Inc(0)
 	if len(st.runs) > spillMaxRuns {
 		st.compact()
 	}
-	st.runfilesG.Set(int64(len(st.runs)))
+	st.fitHot()
+	st.sh.account(st.resident()-resident, int64(len(st.runs)-files))
 }
 
-// compact folds every run into one via a loser-tree merge. Failure
-// leaves the existing runs in place — they stay individually valid, the
-// list is just longer than we wanted.
+// compact folds every run into one via a loser-tree merge. The merged
+// run's filter gets the bits per key that fit the filters' half of the
+// budget with room for spillMaxRuns more runs of the current hot size,
+// and flushes until the next compaction take the same rate. The rate
+// only falls as the store grows, so once it is below
+// spillFilterMinBitsPerKey the store builds no filters again and the
+// hot tier takes the whole budget. Failure leaves the existing runs in
+// place — they stay individually valid, the list is just longer than we
+// wanted.
 func (st *spillStore) compact() {
+	n := 0
 	cur := make([]*runCursor, len(st.runs))
 	for i, r := range st.runs {
-		cur[i] = &runCursor{br: bufio.NewReaderSize(io.NewSectionReader(r.f, 0, int64(r.n)*8), 1<<16)}
-		cur[i].advance()
+		n += r.n
+		cur[i] = newRunCursor(r)
 	}
-	merged, err := writeRun(newLoserTree(cur))
+	rate := min(spillFilterBitsPerKey, float64(st.budget/2*8)/float64(n+spillMaxRuns*st.hotCap))
+	merged, err := writeRun(newLoserTree(cur), n, filterSize(n, rate, st.budget/2))
 	if err != nil {
 		st.degrade("compact", err)
 		return
@@ -233,9 +308,8 @@ func (st *spillStore) compact() {
 		releaseRun(r)
 	}
 	st.runs = append(st.runs[:0], merged)
-	if st.compactC != nil {
-		st.compactC.Inc(0)
-	}
+	st.filterBytes, st.filterRate = merged.filter.bytes(), rate
+	st.compactC.Inc(0)
 }
 
 // release closes and deletes every run file. The store is unusable
@@ -280,15 +354,17 @@ var createRunFile = func() (*os.File, error) {
 	return os.CreateTemp("", "mmdedup-*.run")
 }
 
-// writeRun streams a sorted key sequence into a fresh temp run file,
-// building the sparse block index as it goes.
-func writeRun(src keySource) (*spillRun, error) {
+// writeRun streams a sorted sequence of n keys into a fresh temp run
+// file, building the sparse block index and a filter of at most
+// filterBits bits as it goes. The write buffer is at most 64 KiB, and no
+// larger than the run's 8·n bytes.
+func writeRun(src keySource, n int, filterBits int64) (*spillRun, error) {
 	f, err := createRunFile()
 	if err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	r := &spillRun{f: f}
+	bw := bufio.NewWriterSize(f, min(1<<16, 8*n))
+	r := &spillRun{f: f, index: make([]uint64, 0, (n+spillBlockKeys-1)/spillBlockKeys), filter: newRunFilter(n, filterBits)}
 	var word [8]byte
 	for {
 		h, ok := src.next()
@@ -298,6 +374,7 @@ func writeRun(src keySource) (*spillRun, error) {
 		if r.n%spillBlockKeys == 0 {
 			r.index = append(r.index, h)
 		}
+		r.filter.add(filterKey(h))
 		binary.LittleEndian.PutUint64(word[:], h)
 		if _, err := bw.Write(word[:]); err != nil {
 			releaseRun(r)
@@ -312,20 +389,103 @@ func writeRun(src keySource) (*spillRun, error) {
 	return r, nil
 }
 
+// runFilter is a run's Bloom filter (Bloom, CACM 1970), as LSM stores
+// keep one per sorted run: k bit positions per key, taken by double
+// hashing from a remix of the fingerprint. A filter with no words holds
+// nothing and rules nothing out.
+type runFilter struct {
+	words []uint64
+	k     int
+}
+
+// filterKey remixes a fingerprint for filter probes with the splitmix64
+// finalizer. The raw low bits of an FNV-1a fingerprint are weak, and
+// the keys of one dedup shard share them.
+func filterKey(h uint64) uint64 {
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// filterSize is the filter, in bits, that a run of n keys gets: rate
+// bits per key within room bytes, or none below
+// spillFilterMinBitsPerKey.
+func filterSize(n int, rate float64, room int64) int64 {
+	m := min(rate*float64(n), float64(room*8))
+	if m < spillFilterMinBitsPerKey*float64(n) {
+		return 0
+	}
+	return int64(m)
+}
+
+// newRunFilter sizes a filter for n keys to whole words within m bits,
+// with the probe count that minimizes false positives at that density
+// (bits per key × ln 2).
+func newRunFilter(n int, m int64) runFilter {
+	words := m / 64
+	if words <= 0 {
+		return runFilter{}
+	}
+	k := int(float64(words*64)/float64(n)*math.Ln2 + 0.5)
+	return runFilter{words: make([]uint64, words), k: max(k, 1)}
+}
+
+// bytes is the filter's resident size.
+func (f *runFilter) bytes() int64 { return int64(len(f.words)) * 8 }
+
+// add sets x's k positions. Position i is the high word of
+// (x + i·d)·m, which maps the sum evenly onto the m bits.
+func (f *runFilter) add(x uint64) {
+	if len(f.words) == 0 {
+		return
+	}
+	m, d := uint64(len(f.words))*64, bits.RotateLeft64(x, 32)|1
+	for i := 0; i < f.k; i++ {
+		p, _ := bits.Mul64(x, m)
+		f.words[p/64] |= 1 << (p % 64)
+		x += d
+	}
+}
+
+// mayContain reports whether x's k positions are all set: false means
+// the run does not hold the key.
+func (f *runFilter) mayContain(x uint64) bool {
+	if len(f.words) == 0 {
+		return true
+	}
+	m, d := uint64(len(f.words))*64, bits.RotateLeft64(x, 32)|1
+	for i := 0; i < f.k; i++ {
+		p, _ := bits.Mul64(x, m)
+		if f.words[p/64]&(1<<(p%64)) == 0 {
+			return false
+		}
+		x += d
+	}
+	return true
+}
+
 // runCursor streams one run for the merge.
 type runCursor struct {
 	br   *bufio.Reader
+	word [8]byte
 	key  uint64
 	done bool
 }
 
+// newRunCursor opens a cursor on r's first key, reading through a buffer
+// of at most 64 KiB (a run of n keys needs no more than 8·n bytes).
+func newRunCursor(r *spillRun) *runCursor {
+	c := &runCursor{br: bufio.NewReaderSize(io.NewSectionReader(r.f, 0, int64(r.n)*8), min(1<<16, 8*r.n))}
+	c.advance()
+	return c
+}
+
 func (c *runCursor) advance() {
-	var word [8]byte
-	if _, err := io.ReadFull(c.br, word[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.word[:]); err != nil {
 		c.done = true
 		return
 	}
-	c.key = binary.LittleEndian.Uint64(word[:])
+	c.key = binary.LittleEndian.Uint64(c.word[:])
 }
 
 // loserTree is a k-way tournament merge over ascending run cursors.

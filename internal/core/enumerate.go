@@ -38,12 +38,15 @@ type Options struct {
 	// the one structure that grows with the number of distinct states
 	// rather than with the program. 0 (the default) keeps the classic
 	// unbounded in-memory maps. A positive budget switches the seen-set
-	// to a tiered store: a hot in-memory tier sized to the budget, with
-	// overflow spilled to sorted fingerprint runs in temp files that
-	// lookups binary-search through a sparse index (see dedupspill.go).
-	// The behavior set is bit-identical to an unbounded run at any
-	// worker count; only where fingerprints live changes. Above width 1
-	// each of the seen-set's shards gets an even share. Ignored for the
+	// to a tiered store: a hot in-memory tier, with overflow spilled to
+	// sorted fingerprint runs in temp files. Each run keeps a sparse
+	// index and a Bloom filter in memory, so a lookup reads a run only
+	// when its filter says the run may hold the key (see dedupspill.go).
+	// The budget covers the hot tier and the filters: the filters take
+	// at most half of it, and only once the store has spilled. The
+	// behavior set is bit-identical to an unbounded run at any worker
+	// count; only where fingerprints live changes. Above width 1 each of
+	// the seen-set's shards gets an even share. Ignored for the
 	// string-keyed test baseline.
 	DedupMemBudget int64
 	// FrontierResidentBytes caps the bytes of fully materialized states

@@ -40,7 +40,7 @@ func TestSpillFlushFailureDegrades(t *testing.T) {
 	wantErr := errors.New("disk full (injected)")
 	withRunFiles(t, func() (*os.File, error) { return nil, wantErr })
 
-	st := newSpillStore(16*8, nil, nil) // hotCap = 8 keys
+	st := newSpillStore(16*8, &spillShared{}) // hotCap = 8 keys: no flush succeeds
 	const n = 200
 	for i := uint64(0); i < n; i++ {
 		if !st.insert(splitmix64(i)) {
@@ -76,7 +76,7 @@ func TestSpillReadFailureDegrades(t *testing.T) {
 			os.O_CREATE|os.O_WRONLY, 0o600)
 	})
 
-	st := newSpillStore(16*8, nil, nil)
+	st := newSpillStore(16*8, &spillShared{})
 	const n = 100
 	for i := uint64(0); i < n; i++ {
 		st.insert(splitmix64(i))
@@ -96,6 +96,46 @@ func TestSpillReadFailureDegrades(t *testing.T) {
 	}
 	if !hasDegradation(st.degraded, "read") {
 		t.Fatalf("degradations %v missing the read reason", st.degraded)
+	}
+}
+
+// TestSpillCompactFailureKeepsBudget: a disk that fails every
+// compaction's output file but no flush's leaves the runs as they are.
+// Flushes go on at the full filter rate, so the filters' half of the
+// budget runs out before the run list stops growing; the hot tier plus
+// the filters still stay within the budget and the filters within half
+// of it, every key is still found, and the compact reason is recorded.
+func TestSpillCompactFailureKeepsBudget(t *testing.T) {
+	const budget = 4 << 10
+	dir := t.TempDir()
+	var creates int
+	withRunFiles(t, func() (*os.File, error) {
+		// Runs 1–9 flush; from then on each flush is followed by a
+		// compaction attempt, so the even creates are the compactions.
+		if creates++; creates > spillMaxRuns+1 && creates%2 == 0 {
+			return nil, errors.New("disk full (injected)")
+		}
+		return os.CreateTemp(dir, "mmdedup-*.run")
+	})
+	st := newSpillStore(budget, &spillShared{})
+	defer st.release()
+	const n = 4000
+	for i := 0; i < n; i++ {
+		st.insert(splitmix64(uint64(i)))
+		if hot := int64(len(st.hot)) * spillHotBytesPerKey; hot+st.filterBytes > budget || 2*st.filterBytes > budget {
+			t.Fatalf("insert %d: %d hot bytes + %d filter bytes exceed the %d-byte budget or its half", i, hot, st.filterBytes, budget)
+		}
+	}
+	if len(st.runs) <= spillMaxRuns || !hasDegradation(st.degraded, "compact") {
+		t.Fatalf("%d runs, degradations %v: compactions did not fail", len(st.runs), st.degraded)
+	}
+	if st.broken {
+		t.Error("a compaction failure latched the store broken")
+	}
+	for i := 0; i < n; i++ {
+		if !st.contains(splitmix64(uint64(i))) {
+			t.Fatalf("key %d lost", i)
+		}
 	}
 }
 
@@ -182,17 +222,15 @@ func TestIncompleteCarriesSpillDegradation(t *testing.T) {
 }
 
 // TestSpillTierObservability: the spill store's gauges track the
-// resident hot tier, the run-file count, and compactions, the budget
-// gauge records the configured bound, and a degradation lands in the
-// journal as a spill.degraded event — the "why did memory stop
-// growing?" view ISSUE 8 asked for.
+// resident hot tier and run filters, the run-file count, and
+// compactions, and a degradation lands in the journal as a
+// spill.degraded event — the "why did memory stop growing?" view.
+// TestSpillGaugesDescribeWholeSet covers the set-wide totals and the
+// budget gauge.
 func TestSpillTierObservability(t *testing.T) {
 	met := telemetry.NewEnumMetrics(nil)
-	st := newSpillStore(16*8, met, nil) // hotCap = 8 keys
+	st := newSpillStore(16*8, &spillShared{met: met}) // hotCap = 8 keys until the first flush
 	snap := func() telemetry.Snapshot { return met.Snapshot() }
-	if got := snap()["enum_dedup_budget_bytes"]; got != 16*8 {
-		t.Fatalf("enum_dedup_budget_bytes = %d; want %d", got, 16*8)
-	}
 	for i := uint64(0); i < 4; i++ {
 		st.insert(splitmix64(i))
 	}
@@ -208,6 +246,9 @@ func TestSpillTierObservability(t *testing.T) {
 	if got := snap()["enum_dedup_runfiles"]; got != int64(len(st.runs)) {
 		t.Errorf("enum_dedup_runfiles = %d; store has %d runs", got, len(st.runs))
 	}
+	if got := snap()["enum_dedup_resident_bytes"]; got != st.resident() || st.filterBytes == 0 {
+		t.Errorf("enum_dedup_resident_bytes = %d; store holds %d hot keys and %d filter bytes", got, len(st.hot), st.filterBytes)
+	}
 	if got := snap()["enum_dedup_compactions_total"]; got < 1 {
 		t.Errorf("enum_dedup_compactions_total = %d after %d runs worth of inserts; want >= 1", got, spillMaxRuns+2)
 	}
@@ -217,7 +258,7 @@ func TestSpillTierObservability(t *testing.T) {
 	jl := obslog.New(&buf, "r1", "test")
 	wantErr := errors.New("disk full (injected)")
 	withRunFiles(t, func() (*os.File, error) { return nil, wantErr })
-	st2 := newSpillStore(16*8, met, jl)
+	st2 := newSpillStore(16*8, &spillShared{met: met, jl: jl})
 	for i := uint64(0); i < 20; i++ {
 		st2.insert(splitmix64(i))
 	}

@@ -224,6 +224,10 @@ func newState(p *program.Program, pol order.Policy, opts Options) *state {
 		threads:  make([]threadState, len(p.Threads)),
 		byThread: make([][]int, len(p.Threads)),
 		addrs:    make([]addrSet, 0, len(addrs)+2),
+		// Sized up front: a state replayed from the root generates every
+		// node, and growing the slice from empty reallocated it about
+		// log2(nodes) times per replay.
+		nodes: make([]Node, 0, capHint),
 	}
 	if opts.disableCOW {
 		// Deep-copy forks for the reference engine. Must precede node

@@ -64,12 +64,15 @@ type EnumMetrics struct {
 	PoolDrops     *Counter
 
 	// Tiered-dedup spill instrumentation: sorted fingerprint runs
-	// flushed to disk by a budgeted seen-set, and cold lookups that had
-	// to probe them. The gauges expose the tier's live shape — run
-	// files on disk, merge compactions, and resident-vs-budget bytes —
-	// so a spilling run can be watched, not just post-mortemed.
+	// flushed to disk by a budgeted seen-set, cold lookups that had to
+	// probe them, and the run blocks those lookups read (reads per probe
+	// shows what the runs' filters save). The gauges expose the tier's
+	// live shape — run files on disk, merge compactions, and
+	// resident-vs-budget bytes — so a spilling run can be watched, not
+	// just post-mortemed.
 	SpillRuns        *Counter
 	SpillProbes      *Counter
+	SpillReads       *Counter
 	SpillCompactions *Counter
 	DedupRunFiles    *Gauge
 	DedupResident    *Gauge
@@ -123,9 +126,10 @@ func NewEnumMetrics(reg *Registry) *EnumMetrics {
 	m.FrontierResidentPeak = reg.NewGauge("frontier_resident_peak_bytes", "high-water mark of frontier_resident_bytes this run")
 	m.SpillRuns = reg.NewCounter("enum_dedup_spill_runs_total", "sorted fingerprint runs flushed to disk by a budgeted seen-set")
 	m.SpillProbes = reg.NewCounter("enum_dedup_spill_probes_total", "dedup lookups that missed the hot tier and probed on-disk runs")
+	m.SpillReads = reg.NewCounter("enum_dedup_spill_reads_total", "run-file blocks read by cold dedup lookups (runs whose filter rules the key out are not read)")
 	m.SpillCompactions = reg.NewCounter("enum_dedup_compactions_total", "loser-tree merges of on-disk runs triggered by the run-count cap")
 	m.DedupRunFiles = reg.NewGauge("enum_dedup_runfiles", "on-disk sorted runs currently live in the spill tier")
-	m.DedupResident = reg.NewGauge("enum_dedup_resident_bytes", "estimated bytes resident in the hot dedup tier")
+	m.DedupResident = reg.NewGauge("enum_dedup_resident_bytes", "estimated bytes resident in the budgeted seen-set: hot tier plus run filters")
 	m.DedupBudget = reg.NewGauge("enum_dedup_budget_bytes", "configured dedup memory budget (0 = unbudgeted)")
 	m.GenerateNs = reg.NewCounter("enum_phase_generate_ns_total", "time in graph generation (Section 4 step 1)")
 	m.ExecuteNs = reg.NewCounter("enum_phase_execute_ns_total", "time in dataflow execution + closure (step 2)")
