@@ -193,10 +193,9 @@ func main() {
 		}
 	}
 
-	fmt.Printf("%d distinct executions (%d states explored, %d forks, %d duplicates discarded, %d prefix-pruned, %d symmetry-pruned, %d rollbacks)\n\n",
+	fmt.Printf("%d distinct executions (%d states explored, %d forks, %d prefix-pruned, %d symmetry-pruned, %d rollbacks)\n\n",
 		len(res.Executions), res.Stats.StatesExplored, res.Stats.Forks,
-		res.Stats.DuplicatesDiscarded, res.Stats.PrefixPruned, res.Stats.SymmetryPruned,
-		res.Stats.Rollbacks)
+		res.Stats.PrefixPruned, res.Stats.SymmetryPruned, res.Stats.Rollbacks)
 
 	byKey := map[string]int{}
 	for i, e := range res.Executions {

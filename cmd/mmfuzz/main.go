@@ -182,8 +182,8 @@ func fuzzOne(ctx context.Context, p *program.Program, seed int64, chain []order.
 		prev = cur
 		*totalBehaviors += len(cur)
 		if verbose {
-			fmt.Printf("seed %4d %-8s %3d behaviors (%d states, %d dup, %d prefix-pruned, %d sym-pruned)\n",
-				seed, pol.Name(), len(cur), res.Stats.StatesExplored, res.Stats.DuplicatesDiscarded,
+			fmt.Printf("seed %4d %-8s %3d behaviors (%d states, %d prefix-pruned, %d sym-pruned)\n",
+				seed, pol.Name(), len(cur), res.Stats.StatesExplored,
 				res.Stats.PrefixPruned, res.Stats.SymmetryPruned)
 		}
 	}

@@ -41,11 +41,12 @@ type Checkpoint struct {
 	ProgramHash uint64 `json:"program_hash"`
 	// Speculative records Options.Speculative at checkpoint time.
 	Speculative bool `json:"speculative,omitempty"`
-	// Symmetry records whether the run reduced by symmetry (see
-	// Options.CandidateHook). A symmetry-pruned frontier omits orbit
-	// twins (they are re-derived at the end of a complete run), so
-	// resuming under a different setting would silently drop behaviors;
-	// Resume refuses a mismatch.
+	// Symmetry records whether the run reduced by symmetry
+	// (Options.symmetryOn: off under DisableDedup, under a CandidateHook,
+	// and without fork-time keys, as in the reference engine). A
+	// symmetry-pruned frontier omits orbit twins (they are re-derived at
+	// the end of a complete run), so resuming under a different setting
+	// would silently drop behaviors; Resume refuses a mismatch.
 	Symmetry bool `json:"symmetry,omitempty"`
 	// StatesExplored carries the work counter forward so budgets are
 	// cumulative across resumes.

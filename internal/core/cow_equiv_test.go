@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"storeatomicity/internal/core"
@@ -50,7 +51,7 @@ func TestCOWBitIdenticalLitmus(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s %s w%d: %v", lt.Name, m.Name, cname, workers, err)
 					}
-					if gotKeys := behaviorKeys(got); !sameKeys(gotKeys, wantKeys) {
+					if gotKeys := behaviorKeys(got); !slices.Equal(gotKeys, wantKeys) {
 						t.Errorf("%s/%s: cow=%s at %d workers changed the behavior set: %d executions vs reference %d",
 							lt.Name, m.Name, cname, workers, len(gotKeys), len(wantKeys))
 					}
@@ -95,7 +96,7 @@ func TestTrialFrontierBitIdenticalLitmus(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s %s w%d: %v", lt.Name, m.Name, c.name, workers, err)
 					}
-					if gotKeys := behaviorKeys(got); !sameKeys(gotKeys, wantKeys) {
+					if gotKeys := behaviorKeys(got); !slices.Equal(gotKeys, wantKeys) {
 						t.Errorf("%s/%s: %s at %d workers changed the behavior set: %d executions vs oracle %d",
 							lt.Name, m.Name, c.name, workers, len(gotKeys), len(wantKeys))
 					}
@@ -135,7 +136,7 @@ func TestCOWBitIdenticalRand(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s cow=on: %v", seed, pol.Name(), err)
 			}
-			if gotKeys := behaviorKeys(got); !sameKeys(gotKeys, wantKeys) {
+			if gotKeys := behaviorKeys(got); !slices.Equal(gotKeys, wantKeys) {
 				t.Fatalf("seed %d %s: COW behavior set diverges (%d vs %d executions)\nprogram:\n%s",
 					seed, pol.Name(), len(gotKeys), len(wantKeys), p)
 			}
@@ -145,7 +146,7 @@ func TestCOWBitIdenticalRand(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s cow=on parallel: %v", seed, pol.Name(), err)
 				}
-				if gotKeys := behaviorKeys(gotPar); !sameKeys(gotKeys, wantKeys) {
+				if gotKeys := behaviorKeys(gotPar); !slices.Equal(gotKeys, wantKeys) {
 					t.Fatalf("seed %d %s: parallel COW behavior set diverges (%d vs %d executions)\nprogram:\n%s",
 						seed, pol.Name(), len(gotKeys), len(wantKeys), p)
 				}
@@ -191,7 +192,7 @@ func TestCOWCheckpointResumeCrossMode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: resume: %v", dir.name, err)
 		}
-		if gotKeys := behaviorKeys(res); !sameKeys(gotKeys, wantKeys) {
+		if gotKeys := behaviorKeys(res); !slices.Equal(gotKeys, wantKeys) {
 			t.Errorf("%s: resumed behavior set diverges (%d vs %d executions)",
 				dir.name, len(gotKeys), len(wantKeys))
 		}

@@ -207,20 +207,6 @@ func (k *shardedSet) record(s *state) bool {
 	return true
 }
 
-// sameKey reports whether a freshly computed key equals the key a state
-// was inserted under at fork time — the self-skip: a fork-time-inserted
-// state whose key is unchanged post-quiescence must not be discarded as a
-// duplicate of itself.
-func (k *shardedSet) sameKey(s *state, h uint64, sig string) bool {
-	if !s.seenKeyed {
-		return false
-	}
-	if k.useString {
-		return sig == s.seenSig
-	}
-	return h == s.seenH
-}
-
 // seed pre-loads fingerprints observed elsewhere (a distributed peer's
 // completed shards). Seeds bypass the dedupcheck collision guard — they
 // carry no signature, and recording an empty one would poison the guard
@@ -242,10 +228,11 @@ func (k *shardedSet) seed(hs []uint64) {
 	}
 }
 
-// export returns up to max fingerprints (all of them when max <= 0). A
-// spill-backed shard exports only its resident hot tier — the disk runs
-// are exactly the keys too numerous to ship anyway.
-func (k *shardedSet) export(max int) []uint64 {
+// export returns the set's fingerprints in ascending order, so what a
+// caller ships does not depend on map iteration order. A spill-backed
+// shard exports only its resident hot tier — the disk runs are exactly
+// the keys too numerous to ship anyway.
+func (k *shardedSet) export() []uint64 {
 	if k.useString {
 		return nil
 	}
@@ -258,13 +245,11 @@ func (k *shardedSet) export(max int) []uint64 {
 			src = sh.spill.hot
 		}
 		for h := range src {
-			if max > 0 && len(out) >= max {
-				break
-			}
 			out = append(out, h)
 		}
 		sh.mu.Unlock()
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"reflect"
-
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"storeatomicity/internal/order"
@@ -193,5 +193,32 @@ func TestFnvMixMatchesByteLoop(t *testing.T) {
 		}
 		check(h, v)
 		h = fnvMix(h, v)
+	}
+}
+
+// TestSeenExportIsEveryKeyAscending: ExportSeen ships every seen-set key
+// — one per child that passed its fork-time check, forked or elided — in
+// ascending order, so map iteration order never reaches the fingerprints
+// a distributed worker ships: two exports of one search are equal, at
+// width 1 (one shard) and width 2 (dedupShards shards).
+func TestSeenExportIsEveryKeyAscending(t *testing.T) {
+	var first []uint64
+	for _, workers := range []int{1, 2, 1, 2} {
+		res, err := EnumerateParallel(context.Background(), figure10Prog(), order.Relaxed(), Options{ExportSeen: true}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.SeenExport
+		if !slices.IsSorted(got) {
+			t.Fatalf("width %d: export not ascending", workers)
+		}
+		if n := res.Stats.Forks + res.Stats.ChildrenElided; len(got) != n {
+			t.Fatalf("width %d: exported %d keys, the run admitted %d children", workers, len(got), n)
+		}
+		if first == nil {
+			first = got
+		} else if !slices.Equal(got, first) {
+			t.Fatalf("width %d: export differs from the first export (%d vs %d keys)", workers, len(got), len(first))
+		}
 	}
 }

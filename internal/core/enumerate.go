@@ -99,11 +99,11 @@ type Options struct {
 	// merged from whoever exported it, so skipping it here cannot lose
 	// results. Ignored by the string-keyed test baseline.
 	SeedSeen []uint64
-	// ExportSeen, when non-zero, asks the engine to export up to that
-	// many seen-set fingerprints into Result.SeenExport after a clean
-	// run (negative means "all"). Distributed workers ship these to the
-	// coordinator so later shards skip already-explored subtrees.
-	ExportSeen int
+	// ExportSeen asks the engine to export its seen-set fingerprints,
+	// in ascending order, into Result.SeenExport after a clean run.
+	// Distributed workers ship these to the coordinator so later shards
+	// skip already-explored subtrees.
+	ExportSeen bool
 
 	// dedupString keys the seen and final sets by the full string
 	// signature instead of the 64-bit fingerprint, at any width. It is the
@@ -121,10 +121,13 @@ type Options struct {
 }
 
 // symmetryOn reports whether a run reduces by symmetry — not without
-// dedup (the reduction refines the seen-set), under a CandidateHook, or
-// in the reference engine. The engine and checkpoints share it.
+// dedup (the reduction refines the seen-set), under a CandidateHook, in
+// the reference engine, or without fork-time keys: only childKey
+// computes canonical keys, and the post-quiescence check that replaces
+// it keys states plainly (shardedSet.stateKey). The engine and
+// checkpoints share it.
 func (o Options) symmetryOn() bool {
-	return !o.DisableDedup && o.CandidateHook == nil && !o.disableSymmetry
+	return !o.DisableDedup && o.CandidateHook == nil && !o.disableSymmetry && !o.disablePrefixPrune
 }
 
 func (o Options) withDefaults() Options {
@@ -170,7 +173,10 @@ type Stats struct {
 	FrontierDemoted      int
 	FrontierResidentPeak int64
 	// DuplicatesDiscarded counts behaviors dropped by the
-	// post-quiescence Load–Store-graph dedup check.
+	// post-quiescence Load–Store-graph dedup check. Only the reference
+	// engine runs that check — the engine proper keys every child at
+	// fork time (PrefixPruned, SymmetryPruned) — so it is 0 outside
+	// EnumerateReference.
 	DuplicatesDiscarded int
 	// PrefixPruned counts forks dropped at fork time because an
 	// equivalent partially resolved state was already queued or
@@ -223,9 +229,9 @@ type Result struct {
 	// Incomplete is nil for an exhaustive enumeration; otherwise it
 	// reports why the run stopped early and the replayable frontier.
 	Incomplete *Incomplete
-	// SeenExport holds dedup fingerprints exported after a clean run
-	// when Options.ExportSeen is set (the distributed fingerprint
-	// exchange); nil otherwise.
+	// SeenExport holds the dedup fingerprints, ascending, exported after
+	// a clean run when Options.ExportSeen is set (the distributed
+	// fingerprint exchange); nil otherwise.
 	SeenExport []uint64
 }
 

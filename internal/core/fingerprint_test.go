@@ -72,7 +72,7 @@ func TestProgramFingerprintIgnoresEquivalencePreservingOptions(t *testing.T) {
 		{DedupMemBudget: 4096},
 		{FrontierResidentBytes: 1 << 20},
 		{FrontierResidentBytes: -1},
-		{ExportSeen: -1},
+		{ExportSeen: true},
 	}
 	for i, opts := range same {
 		if got := ProgramFingerprint("Relaxed", fpSBProgram(), opts); got != base {

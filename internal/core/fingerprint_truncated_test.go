@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"storeatomicity/internal/core"
@@ -43,7 +44,7 @@ func TestFingerprintExclusionsHoldWhenTruncated(t *testing.T) {
 					"FrontierResidentBytes=1": {MaxBehaviors: budget, FrontierResidentBytes: 1},
 				} {
 					got, stopped := truncated(t, lt, m, opts)
-					if !stopped || !sameKeys(behaviorKeys(got), behaviorKeys(want)) {
+					if !stopped || !slices.Equal(behaviorKeys(got), behaviorKeys(want)) {
 						t.Errorf("%s/%s MaxBehaviors=%d: %s returned %d executions (budget stop %v), the default %d",
 							lt.Name, m.Name, budget, name, len(got.Executions), stopped, len(want.Executions))
 					}

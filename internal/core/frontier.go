@@ -17,15 +17,6 @@ package core
 // boundary does not thrash the codec).
 const demoteBlock = 32
 
-// seenMeta preserves a demoted state's fork-time seen-set key. It must
-// survive demotion: without it the post-quiescence dedup backstop would
-// discard the revived state as a duplicate of itself.
-type seenMeta struct {
-	keyed bool
-	h     uint64
-	sig   string
-}
-
 // demotedStack holds the demoted (bottom) portion of one frontier in
 // logical stack order: index 0 is the oldest entry. The newest entries
 // live uncompressed in tail, the middle in compressed blocks, and the
@@ -40,11 +31,6 @@ type demotedStack struct {
 	bhead  int
 	tail   [][]PathStep // newest entries, not yet compressed
 	thead  int
-	// meta is parallel to the whole logical sequence (front + blocks +
-	// tail); mhead indexes its bottom. Metadata stays uncompressed — it
-	// is a few words per entry and both ends consume it.
-	meta  []seenMeta
-	mhead int
 }
 
 func (d *demotedStack) count() int {
@@ -55,9 +41,8 @@ func (d *demotedStack) count() int {
 
 // push demotes the newest entry onto the top of the stack. path must be a
 // private copy (the caller's state is about to be recycled).
-func (d *demotedStack) push(path []PathStep, m seenMeta) {
+func (d *demotedStack) push(path []PathStep) {
 	d.tail = append(d.tail, path)
-	d.meta = append(d.meta, m)
 	if len(d.tail)-d.thead >= 2*demoteBlock {
 		live := d.tail[d.thead:]
 		d.blocks = append(d.blocks, compressFrontier(live[:demoteBlock]))
@@ -81,13 +66,10 @@ func expandBlock(b []pathBlock) [][]PathStep {
 }
 
 // popNewest removes and returns the top (newest) entry.
-func (d *demotedStack) popNewest() ([]PathStep, seenMeta, bool) {
+func (d *demotedStack) popNewest() ([]PathStep, bool) {
 	if d.count() == 0 {
-		return nil, seenMeta{}, false
+		return nil, false
 	}
-	m := d.meta[len(d.meta)-1]
-	d.meta[len(d.meta)-1] = seenMeta{}
-	d.meta = d.meta[:len(d.meta)-1]
 	var p []PathStep
 	switch {
 	case len(d.tail) > d.thead:
@@ -108,18 +90,15 @@ func (d *demotedStack) popNewest() ([]PathStep, seenMeta, bool) {
 		d.front = d.front[:len(d.front)-1]
 	}
 	d.normalize()
-	return p, m, true
+	return p, true
 }
 
 // takeOldest removes and returns the bottom (oldest) entry — the
 // work-stealing side, mirroring takeOldestLocked on resident deques.
-func (d *demotedStack) takeOldest() ([]PathStep, seenMeta, bool) {
+func (d *demotedStack) takeOldest() ([]PathStep, bool) {
 	if d.count() == 0 {
-		return nil, seenMeta{}, false
+		return nil, false
 	}
-	m := d.meta[d.mhead]
-	d.meta[d.mhead] = seenMeta{}
-	d.mhead++
 	var p []PathStep
 	switch {
 	case len(d.front) > d.fhead:
@@ -139,7 +118,7 @@ func (d *demotedStack) takeOldest() ([]PathStep, seenMeta, bool) {
 		d.thead++
 	}
 	d.normalize()
-	return p, m, true
+	return p, true
 }
 
 // normalize resets all cursors once the stack drains, so head indices do
@@ -151,7 +130,6 @@ func (d *demotedStack) normalize() {
 	d.front, d.fhead = d.front[:0], 0
 	d.blocks, d.bhead = d.blocks[:0], 0
 	d.tail, d.thead = d.tail[:0], 0
-	d.meta, d.mhead = d.meta[:0], 0
 }
 
 // appendPaths appends every demoted path in logical (oldest-first) order —

@@ -21,23 +21,18 @@ func synthPath(seed, n int) []PathStep {
 }
 
 // TestDemotedStackLIFO: interleaved push/popNewest must behave exactly
-// like a plain slice stack across the compress/expand block boundaries,
-// with metadata tracking its entry.
+// like a plain slice stack across the compress/expand block boundaries.
 func TestDemotedStackLIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var d demotedStack
-	type entry struct {
-		path []PathStep
-		m    seenMeta
-	}
-	var oracle []entry
+	var oracle [][]PathStep
 	for op := 0; op < 5000; op++ {
 		if rng.Intn(3) != 0 { // bias to push so blocks form
-			e := entry{path: synthPath(op, 1+rng.Intn(20)), m: seenMeta{keyed: op%2 == 0, h: uint64(op)}}
-			d.push(e.path, e.m)
-			oracle = append(oracle, e)
+			path := synthPath(op, 1+rng.Intn(20))
+			d.push(path)
+			oracle = append(oracle, path)
 		} else {
-			p, m, ok := d.popNewest()
+			p, ok := d.popNewest()
 			if len(oracle) == 0 {
 				if ok {
 					t.Fatalf("op %d: pop from empty stack returned an entry", op)
@@ -49,10 +44,7 @@ func TestDemotedStackLIFO(t *testing.T) {
 			if !ok {
 				t.Fatalf("op %d: pop returned empty, oracle has %d", op, len(oracle)+1)
 			}
-			assertPathEqual(t, op, p, want.path)
-			if m != want.m {
-				t.Fatalf("op %d: meta %+v, want %+v", op, m, want.m)
-			}
+			assertPathEqual(t, op, p, want)
 		}
 		if d.count() != len(oracle) {
 			t.Fatalf("op %d: count %d, oracle %d", op, d.count(), len(oracle))
@@ -67,29 +59,23 @@ func TestDemotedStackStealsOldest(t *testing.T) {
 	var d demotedStack
 	const n = 300
 	for i := 0; i < n; i++ {
-		d.push(synthPath(i, 3+i%9), seenMeta{h: uint64(i)})
+		d.push(synthPath(i, 3+i%9))
 	}
 	// Alternate: steal from the bottom, pop from the top.
 	lo, hi := 0, n-1
 	for lo <= hi {
-		p, m, ok := d.takeOldest()
+		p, ok := d.takeOldest()
 		if !ok {
 			t.Fatalf("takeOldest empty at lo=%d hi=%d", lo, hi)
-		}
-		if m.h != uint64(lo) {
-			t.Fatalf("takeOldest meta %d, want %d", m.h, lo)
 		}
 		assertPathEqual(t, lo, p, synthPath(lo, 3+lo%9))
 		lo++
 		if lo > hi {
 			break
 		}
-		p, m, ok = d.popNewest()
+		p, ok = d.popNewest()
 		if !ok {
 			t.Fatalf("popNewest empty at lo=%d hi=%d", lo, hi)
-		}
-		if m.h != uint64(hi) {
-			t.Fatalf("popNewest meta %d, want %d", m.h, hi)
 		}
 		assertPathEqual(t, hi, p, synthPath(hi, 3+hi%9))
 		hi--
@@ -105,7 +91,7 @@ func TestDemotedStackAppendPaths(t *testing.T) {
 	var d demotedStack
 	const n = 150
 	for i := 0; i < n; i++ {
-		d.push(synthPath(i, 2+i%5), seenMeta{})
+		d.push(synthPath(i, 2+i%5))
 	}
 	paths := d.appendPaths(nil)
 	if len(paths) != n {

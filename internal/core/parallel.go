@@ -339,8 +339,8 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 	if ferr != nil {
 		return res, ferr
 	}
-	if opts.ExportSeen != 0 {
-		res.SeenExport = e.seen.export(opts.ExportSeen)
+	if opts.ExportSeen {
+		res.SeenExport = e.seen.export()
 	}
 	return res, nil
 }
@@ -383,7 +383,7 @@ func (w *wsWorker) push(s *state) {
 // owner — the pool is owner-private).
 func (w *wsWorker) demoteOldestLocked() {
 	s := w.takeOldestLocked()
-	w.dem.push(copyPath(s.path), seenMeta{keyed: s.seenKeyed, h: s.seenH, sig: s.seenSig})
+	w.dem.push(copyPath(s.path))
 	w.pool.put(s)
 	w.stats.FrontierDemoted++
 	if w.eng.met != nil {
@@ -394,8 +394,8 @@ func (w *wsWorker) demoteOldestLocked() {
 // pop takes the newest queued behavior (LIFO) and advertises it under the
 // same lock acquisition: a resident state lands in w.current, a demoted
 // path in w.currentDemoted (the caller replays it outside the lock via
-// revive). Returns (nil, nil, _) when the worker's frontier is empty.
-func (w *wsWorker) pop() (*state, []PathStep, seenMeta) {
+// revive). Returns (nil, nil) when the worker's frontier is empty.
+func (w *wsWorker) pop() (*state, []PathStep) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.head < len(w.deque) {
@@ -408,13 +408,13 @@ func (w *wsWorker) pop() (*state, []PathStep, seenMeta) {
 		w.charges = w.charges[:n]
 		w.resetIfEmptyLocked()
 		w.current = s
-		return s, nil, seenMeta{}
+		return s, nil
 	}
-	if path, m, ok := w.dem.popNewest(); ok {
+	if path, ok := w.dem.popNewest(); ok {
 		w.currentDemoted = path
-		return nil, path, m
+		return nil, path
 	}
-	return nil, nil, seenMeta{}
+	return nil, nil
 }
 
 // takeOldestLocked removes the oldest resident behavior (FIFO), or nil.
@@ -447,7 +447,7 @@ func (w *wsWorker) resetIfEmptyLocked() {
 // demotion) and advertises the result as w.current. On replay failure the
 // engine stops with the error and the behavior's pending slot is
 // released; revive then returns nil.
-func (w *wsWorker) revive(path []PathStep, m seenMeta) *state {
+func (w *wsWorker) revive(path []PathStep) *state {
 	e := w.eng
 	ns, err := replayPath(e.prog, e.pol, e.opts, path)
 	if err != nil {
@@ -458,7 +458,6 @@ func (w *wsWorker) revive(path []PathStep, m seenMeta) *state {
 		e.pending.Add(-1)
 		return nil
 	}
-	ns.seenKeyed, ns.seenH, ns.seenSig = m.keyed, m.h, m.sig
 	w.fams.add(ns.g)
 	w.mu.Lock()
 	w.current = ns
@@ -491,10 +490,10 @@ func (w *wsWorker) nextRand() uint64 {
 // demoted entries are stolen before its resident ones — they are the
 // oldest, hence the largest subtrees; the thief replays the path outside
 // the locks. A lone worker has no victims.
-func (e *wsEngine) steal(w *wsWorker) (*state, []PathStep, seenMeta) {
+func (e *wsEngine) steal(w *wsWorker) (*state, []PathStep) {
 	n := len(e.workers)
 	if n == 1 {
-		return nil, nil, seenMeta{}
+		return nil, nil
 	}
 	off := int(w.nextRand() % uint64(n))
 	for i := 0; i < n; i++ {
@@ -509,7 +508,7 @@ func (e *wsEngine) steal(w *wsWorker) (*state, []PathStep, seenMeta) {
 		lo.mu.Lock()
 		hi.mu.Lock()
 		var s *state
-		path, m, ok := v.dem.takeOldest()
+		path, ok := v.dem.takeOldest()
 		if ok {
 			w.currentDemoted = path
 		} else {
@@ -525,10 +524,10 @@ func (e *wsEngine) steal(w *wsWorker) (*state, []PathStep, seenMeta) {
 			if e.met != nil {
 				e.met.Steals.Inc(w.idx)
 			}
-			return s, path, m
+			return s, path
 		}
 	}
-	return nil, nil, seenMeta{}
+	return nil, nil
 }
 
 // wake signals one parked worker, if any. The fast path is a single
@@ -678,9 +677,9 @@ func (w *wsWorker) run() {
 		if e.ckpt != nil {
 			e.maybeCheckpoint()
 		}
-		s, path, m := w.pop()
+		s, path := w.pop()
 		if s == nil && path == nil {
-			s, path, m = e.steal(w)
+			s, path = e.steal(w)
 		}
 		if s == nil && path == nil {
 			if e.pending.Load() == 0 {
@@ -693,7 +692,7 @@ func (w *wsWorker) run() {
 		if s == nil {
 			// A demoted path: re-materialize it by replay, outside the
 			// deque locks.
-			if s = w.revive(path, m); s == nil {
+			if s = w.revive(path); s == nil {
 				return
 			}
 		}
@@ -789,17 +788,16 @@ func (w *wsWorker) process(s *state) {
 		return
 	}
 
-	// Load–Store-graph dedup (Section 4.1): states reached by resolving
-	// the same loads from the same stores in different orders are
-	// equivalent; explore one representative. The check runs
-	// post-quiescence so that generation unlocked by branch outcomes has
-	// settled — it remains load-bearing with prefix pruning on, because
-	// fork-time keys predate the child's quiescence (the node count can
-	// still grow). A state inserted at fork time whose key is unchanged
-	// must not be discarded as a duplicate of itself.
-	if !e.opts.DisableDedup {
-		h, sig, _ := s.dedupKey(e.sym, e.opts.dedupString)
-		if !e.seen.sameKey(s, h, sig) && !e.seen.insert(h, sig) {
+	// Load–Store-graph dedup after quiescence, as Section 4.1 states it:
+	// states that resolved the same loads from the same stores, in any
+	// order, are one state, so only the first with a given key goes on.
+	// Only the reference engine (fork-time keys off) checks here; the
+	// engine proper keys each child when it forks (childKey below). A
+	// child whose key changes during quiescence — a branch unlocking
+	// generation — and then equals another state's key costs one Load
+	// Resolution sweep, whose children the fork-time keys all prune.
+	if !e.prefixPrune && !e.opts.DisableDedup {
+		if !e.seen.insert(e.seen.stateKey(s)) {
 			w.stats.DuplicatesDiscarded++
 			if e.met != nil {
 				e.met.DedupHits.Inc(w.idx)
@@ -859,11 +857,8 @@ func (w *wsWorker) process(s *state) {
 			// would roll back too. Completeness is unaffected;
 			// CandidateHook has already fired (duplicates never re-fired
 			// it).
-			var h uint64
-			var sig string
 			if e.prefixPrune {
-				var symHit bool
-				h, sig, symHit = s.childKey(e.sym, lid, sid, e.opts.dedupString)
+				h, sig, symHit := s.childKey(e.sym, lid, sid, e.opts.dedupString)
 				if !e.seen.insert(h, sig) {
 					if symHit {
 						w.stats.SymmetryPruned++
@@ -897,9 +892,6 @@ func (w *wsWorker) process(s *state) {
 					continue
 				}
 				progressed = true
-				if e.prefixPrune {
-					ns.seenKeyed, ns.seenH, ns.seenSig = true, h, sig
-				}
 				e.pending.Add(1)
 				w.push(ns)
 				continue
@@ -962,9 +954,6 @@ func (w *wsWorker) process(s *state) {
 			w.stats.Forks++
 			if e.met != nil {
 				e.met.Forks.Inc(w.idx)
-			}
-			if e.prefixPrune {
-				ns.seenKeyed, ns.seenH, ns.seenSig = true, h, sig
 			}
 			e.pending.Add(1)
 			w.push(ns)

@@ -90,9 +90,10 @@ func TestPartitionMergeWithPruning(t *testing.T) {
 	assertSameBehaviors(t, "pruned merge", merged, base)
 }
 
-// TestPartitionSeededMerge: seeding one shard with fingerprints exported
-// by a completed shard (the distributed fingerprint exchange) skips
-// already-explored subtrees without losing behaviors.
+// TestPartitionSeededMerge: seeding each shard with the fingerprints its
+// predecessors exported (the distributed fingerprint exchange) skips
+// already-explored subtrees — the seeded shards explore fewer states than
+// the same shards unseeded — without losing behaviors.
 func TestPartitionSeededMerge(t *testing.T) {
 	base := fullRun(t)
 	ctx := context.Background()
@@ -105,18 +106,26 @@ func TestPartitionSeededMerge(t *testing.T) {
 	}
 	completed := append([][]PathStep{}, part.Completed...)
 	var seen []uint64
-	skipped := 0
+	seeded, unseeded := 0, 0
 	for i, shard := range part.Shards {
-		opts := Options{ExportSeen: -1, SeedSeen: seen}
-		res, err := EnumerateShard(ctx, figure10Prog(), order.Relaxed(), opts, shard, 1)
+		res, err := EnumerateShard(ctx, figure10Prog(), order.Relaxed(), Options{ExportSeen: true, SeedSeen: seen}, shard, 1)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		skipped += res.Stats.DuplicatesDiscarded + res.Stats.PrefixPruned
+		alone, err := EnumerateShard(ctx, figure10Prog(), order.Relaxed(), Options{}, shard, 1)
+		if err != nil {
+			t.Fatalf("shard %d unseeded: %v", i, err)
+		}
+		seeded += res.Stats.StatesExplored
+		unseeded += alone.Stats.StatesExplored
 		seen = append(seen, res.SeenExport...)
 		for _, e := range res.Executions {
 			completed = append(completed, e.Path)
 		}
+	}
+	if seeded >= unseeded {
+		t.Errorf("%d shards: seeded explored %d states, unseeded %d; the exchange saved nothing",
+			len(part.Shards), seeded, unseeded)
 	}
 	merged, err := MergeCompleted(ctx, figure10Prog(), order.Relaxed(), Options{}, completed)
 	if err != nil {

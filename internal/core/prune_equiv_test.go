@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"testing"
 
@@ -47,18 +48,6 @@ func behaviorKeys(r *core.Result) []string {
 	return keys
 }
 
-func sameKeys(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestPruningBitIdenticalLitmus checks the invariant over the whole
 // litmus corpus under every model configuration, at one and four
 // workers.
@@ -80,7 +69,7 @@ func TestPruningBitIdenticalLitmus(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s %s w%d: %v", lt.Name, m.Name, cname, workers, err)
 					}
-					if gotKeys := behaviorKeys(got); !sameKeys(gotKeys, wantKeys) {
+					if gotKeys := behaviorKeys(got); !slices.Equal(gotKeys, wantKeys) {
 						t.Errorf("%s/%s: pruning %q at %d workers changed the behavior set: %d executions vs reference %d",
 							lt.Name, m.Name, cname, workers, len(gotKeys), len(wantKeys))
 					}
@@ -120,7 +109,7 @@ func TestPruningBitIdenticalRand(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s engine: %v", seed, pol.Name(), err)
 			}
-			if gotKeys := behaviorKeys(got); !sameKeys(gotKeys, wantKeys) {
+			if gotKeys := behaviorKeys(got); !slices.Equal(gotKeys, wantKeys) {
 				t.Fatalf("seed %d %s: engine behavior set diverges (%d vs %d executions)\nprogram:\n%s",
 					seed, pol.Name(), len(gotKeys), len(wantKeys), p)
 			}
@@ -133,7 +122,7 @@ func TestPruningBitIdenticalRand(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s engine w%d: %v", seed, pol.Name(), workers, err)
 				}
-				if gotKeys := behaviorKeys(gotPar); !sameKeys(gotKeys, wantKeys) {
+				if gotKeys := behaviorKeys(gotPar); !slices.Equal(gotKeys, wantKeys) {
 					t.Fatalf("seed %d %s: engine behavior set at %d workers diverges (%d vs %d executions)\nprogram:\n%s",
 						seed, pol.Name(), workers, len(gotKeys), len(wantKeys), p)
 				}
@@ -169,7 +158,7 @@ func TestSymmetryActuallyPrunes(t *testing.T) {
 			t.Errorf("%s: expected ≥2x state reduction, got %d pruned vs %d reference",
 				name, pruned.Stats.StatesExplored, base.Stats.StatesExplored)
 		}
-		if !sameKeys(behaviorKeys(pruned), behaviorKeys(base)) {
+		if !slices.Equal(behaviorKeys(pruned), behaviorKeys(base)) {
 			t.Errorf("%s: pruned behavior set diverges from the reference", name)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // keys against the full string signatures: with prefix pruning on (the
 // default), the fingerprint-keyed and signature-keyed engines must agree
 // on the behavior set and on every work counter — StatesExplored,
-// DuplicatesDiscarded, and the new PrefixPruned — so a fingerprint
+// PrefixPruned and SymmetryPruned among them — so a fingerprint
 // collision that merged distinct prefixes would surface as a stats or
 // behavior divergence. (The dedupcheck build tag additionally verifies
 // every hash match against the signature at runtime.)
@@ -63,13 +64,16 @@ func TestPrefixPruneStringBaseline(t *testing.T) {
 	}
 }
 
-// TestPrefixPruneVsBackstopAccounting pins the attribution split: a
-// pruned run classifies every discarded duplicate as either fork-time
-// (PrefixPruned / SymmetryPruned) or post-quiescence backstop
-// (DuplicatesDiscarded), and disabling the layers moves all discards
-// back to the backstop without changing the behavior set.
+// TestPrefixPruneVsBackstopAccounting pins the one-dedup-point contract.
+// The engine keys each child once, at fork time: every duplicate it drops
+// is PrefixPruned or SymmetryPruned, and DuplicatesDiscarded stays 0. With
+// fork-time keys off (disablePrefixPrune, as in the reference engine) the
+// post-quiescence check is the only dedup: it discards on some seed,
+// fork-time counters stay 0, symmetry is off (so a checkpoint records
+// Symmetry: false), and the behavior set is unchanged.
 func TestPrefixPruneVsBackstopAccounting(t *testing.T) {
 	ctx := context.Background()
+	backstopFired := false
 	for seed := int64(0); seed < 30; seed++ {
 		p := randprog.Generate(randprog.Config{Seed: seed, Threads: 2, Ops: 4})
 		pol := order.Relaxed()
@@ -81,6 +85,16 @@ func TestPrefixPruneVsBackstopAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d plain: %v", seed, err)
 		}
+		if pruned.Stats.DuplicatesDiscarded != 0 {
+			t.Errorf("seed %d: the engine discarded %d states after quiescence; fork-time keys are its only dedup",
+				seed, pruned.Stats.DuplicatesDiscarded)
+		}
+		if plain.Stats.DuplicatesDiscarded > 0 {
+			backstopFired = true
+		}
+		if plain.Checkpoint(p, Options{disablePrefixPrune: true}).Symmetry {
+			t.Errorf("seed %d: a run without fork-time keys checkpoints Symmetry: true", seed)
+		}
 		if pruned.Stats.PrefixPruned+pruned.Stats.SymmetryPruned == 0 && pruned.Stats.StatesExplored != plain.Stats.StatesExplored {
 			t.Errorf("seed %d: no fork-time prunes yet explored counts differ (%d vs %d)",
 				seed, pruned.Stats.StatesExplored, plain.Stats.StatesExplored)
@@ -88,18 +102,21 @@ func TestPrefixPruneVsBackstopAccounting(t *testing.T) {
 		if plain.Stats.PrefixPruned != 0 || plain.Stats.SymmetryPruned != 0 {
 			t.Errorf("seed %d: disablePrefixPrune still recorded fork-time prunes: %+v", seed, plain.Stats)
 		}
-		if len(pruned.Executions) != len(plain.Executions) {
-			t.Errorf("seed %d: behavior counts diverge: %d vs %d", seed, len(pruned.Executions), len(plain.Executions))
+		if want, got := sourceKeySet(pruned), sourceKeySet(plain); !maps.Equal(got, want) {
+			t.Errorf("seed %d: behavior sets diverge: %d without fork-time keys, %d with", seed, len(got), len(want))
 		}
 		// A fork dropped at fork time is a state never explored: the sum
 		// of explored states and fork-time prunes can never be less than
 		// the plain engine's explored count (it can exceed it — the
-		// plain engine's backstop drops duplicates only after exploring
-		// them, and both engines count those in StatesExplored).
+		// plain engine drops duplicates only after exploring them, and
+		// counts those in StatesExplored).
 		if pruned.Stats.StatesExplored+pruned.Stats.PrefixPruned+pruned.Stats.SymmetryPruned < plain.Stats.StatesExplored {
 			t.Errorf("seed %d: accounting hole: explored %d + pruned %d+%d < plain explored %d",
 				seed, pruned.Stats.StatesExplored, pruned.Stats.PrefixPruned, pruned.Stats.SymmetryPruned,
 				plain.Stats.StatesExplored)
 		}
+	}
+	if !backstopFired {
+		t.Error("the post-quiescence check never discarded a state without fork-time keys; the test exercises nothing")
 	}
 }

@@ -119,14 +119,6 @@ type state struct {
 	// for the incremental RMW-indivisibility check.
 	newRMW []int32
 
-	// seenKeyed/seenH/seenSig record that this state was inserted into
-	// the engine's seen set at fork time (prefix pruning) and under which
-	// key, so the post-quiescence backstop check does not discard the
-	// state as a duplicate of itself.
-	seenKeyed bool
-	seenH     uint64
-	seenSig   string
-
 	// symKeys/symIDs are scratch for the symmetry reduction's image-ID
 	// mapping (symImageNodes).
 	symKeys []uint64
@@ -429,7 +421,6 @@ func (s *state) fork(p *statePool) *state {
 	c.resolvedBits = graph.CopyInto(c.resolvedBits, s.resolvedBits)
 	c.eligCache = append(c.eligCache[:0], s.eligCache...)
 	c.newRMW = append(c.newRMW[:0], s.newRMW...)
-	c.seenKeyed, c.seenH, c.seenSig = false, 0, ""
 	c.prepValid = false
 	return c
 }

@@ -114,11 +114,13 @@ func symImageNodes(nodes []Node, sym *symmetry, sp *symPerm, keys []uint64, ids,
 // prepDedup caches the dedup-key ingredients of a quiesced state: the
 // resolved (load, source) pairs in ascending load order and, when
 // symmetry is on, every automorphism's image-ID map plus the pairs
-// mapped through it, kept sorted by (image) load ID. dedupKey reads
-// the cache directly, and childKey derives a would-be child's key from
-// it without forking the state. The cache describes the state as of
-// the call; fork invalidates it on the clone, and the engine never
-// mutate a popped state between prepDedup and its candidate loop.
+// mapped through it, kept sorted by (image) load ID. childKey builds
+// the cache on first use and derives each would-be child's key from it
+// without forking. The cache describes the state as of the call, so it
+// must never be valid on a state that is still to quiesce: prepValid is
+// false on every popped state because fork, replayPath (a fresh state)
+// and resolveLoadWith clear it, and nothing calls prepDedup before
+// quiescence. A trial restores the parent's flag on rollback.
 func (s *state) prepDedup(sym *symmetry) {
 	s.prepPairs = s.prepPairs[:0]
 	for id := range s.nodes {
@@ -155,20 +157,12 @@ func (s *state) prepDedup(sym *symmetry) {
 	s.prepValid = true
 }
 
-// hashPairs hashes a Load–Store-graph key — node count then sorted
-// (load, source) pairs — in exactly the fingerprint() format, so plain,
-// permuted, and child keys all land in one comparable key space.
-func hashPairs(n int, pairs [][2]int32) uint64 {
-	h := fnvMix(fnvOffset64, uint64(n))
-	for _, pr := range pairs {
-		h = fnvMix(h, uint64(uint32(pr[0]))<<32|uint64(uint32(pr[1])))
-	}
-	return h
-}
-
-// hashPairsPlus is hashPairs with one extra pair (l, src) merge-inserted
-// at its sorted position — the child-key hash, computed without
-// materializing the child's pair list.
+// hashPairsPlus hashes a Load–Store-graph key — node count then sorted
+// (load, source) pairs — with one extra pair (l, src) merge-inserted at
+// its sorted position: the child-key hash, computed without
+// materializing the child's pair list. It is exactly the fingerprint()
+// format, so plain, permuted, and child keys all land in one comparable
+// key space.
 func hashPairsPlus(n int, pairs [][2]int32, l, src int32) uint64 {
 	h := fnvMix(fnvOffset64, uint64(n))
 	inserted := false
@@ -185,22 +179,8 @@ func hashPairsPlus(n int, pairs [][2]int32, l, src int32) uint64 {
 	return h
 }
 
-// sigPairs renders the key in the signature() string format.
-func sigPairs(n int, pairs [][2]int32) string {
-	b := make([]byte, 0, 8*len(pairs)+8)
-	b = append(b, 'n')
-	b = strconv.AppendInt(b, int64(n), 10)
-	b = append(b, '|')
-	for _, pr := range pairs {
-		b = strconv.AppendInt(b, int64(pr[0]), 10)
-		b = append(b, '<')
-		b = strconv.AppendInt(b, int64(pr[1]), 10)
-		b = append(b, ';')
-	}
-	return string(b)
-}
-
-// sigPairsPlus is sigPairs with (l, src) merge-inserted.
+// sigPairsPlus renders hashPairsPlus's key in the signature() string
+// format.
 func sigPairsPlus(n int, pairs [][2]int32, l, src int32) string {
 	b := make([]byte, 0, 8*len(pairs)+16)
 	b = append(b, 'n')
@@ -226,53 +206,20 @@ func sigPairsPlus(n int, pairs [][2]int32, l, src int32) string {
 	return string(b)
 }
 
-// dedupKey returns the state's canonical dedup key: its plain
+// childKey computes the canonical dedup key of the child produced by
+// resolving load lid from store src, without forking: its plain
 // Load–Store-graph key when sym is nil, otherwise the minimum over the
-// automorphism group (identity included). symHit reports whether a
-// non-identity image supplied the minimum — i.e. whether a later match
-// on this key is attributable to symmetry rather than plain prefix
-// convergence. Orbit members share an orbit of keys (group property),
-// so they share the canonical key. As a side effect the state's dedup
-// prep cache is rebuilt, priming childKey for the candidate loop.
-func (s *state) dedupKey(sym *symmetry, useString bool) (h uint64, sig string, symHit bool) {
-	needSig := useString || dedupCollisionCheck
-	s.prepDedup(sym)
-	n := len(s.nodes)
-	h = hashPairs(n, s.prepPairs)
-	if needSig {
-		sig = sigPairs(n, s.prepPairs)
-	}
-	if sym == nil {
-		return h, sig, false
-	}
-	for i := range sym.perms {
-		ph := hashPairs(n, s.prepPermPairs[i])
-		var psig string
-		if needSig {
-			psig = sigPairs(n, s.prepPermPairs[i])
-		}
-		var better bool
-		if useString {
-			better = psig < sig
-		} else {
-			better = ph < h
-		}
-		if better {
-			h, sig, symHit = ph, psig, true
-		}
-	}
-	return h, sig, symHit
-}
-
-// childKey computes the canonical dedup key that the child produced by
-// resolving load lid from store src would carry at fork time — without
-// forking. Load Resolution adds no nodes (nodes are created only by
-// generation) and touches none of the (epoch, class, thread, seq)
-// coordinates node IDs sort by, so the child's key is the parent's with
-// one more (load, source) pair and the parent's image maps apply
-// unchanged. The engine checks this key against the seen-set before
-// paying for the clone; it is byte-identical to what the forked child's
-// own dedupKey would return pre-quiescence.
+// automorphism group (identity included). Orbit members share an orbit
+// of keys (group property), so they share the canonical key. symHit
+// reports whether a non-identity image supplied the minimum, i.e.
+// whether a match on this key is attributable to symmetry rather than
+// plain prefix convergence. Load Resolution adds no nodes (nodes are
+// created only by generation) and touches none of the (epoch, class,
+// thread, seq) coordinates node IDs sort by, so the child's key is the
+// parent's with one more (load, source) pair and the parent's image maps
+// apply unchanged. The engine checks this key against the seen-set
+// before paying for the clone; it is the engine's one dedup point. The
+// first call on a state builds its pair cache (prepDedup).
 func (s *state) childKey(sym *symmetry, lid, src int, useString bool) (h uint64, sig string, symHit bool) {
 	if !s.prepValid {
 		s.prepDedup(sym)

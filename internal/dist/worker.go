@@ -235,7 +235,7 @@ func (w *Worker) runShard(ctx context.Context, lease *LeaseResponse) error {
 	}
 	opts := w.opts
 	opts.SeedSeen = w.seedSeen
-	opts.ExportSeen = -1
+	opts.ExportSeen = true
 	opts.Metrics = w.cfg.Enum
 	opts.Journal = w.cfg.Journal
 	w.cfg.Journal.EmitShard(obslog.ShardStarted, lease.Shard, obslog.Fields{

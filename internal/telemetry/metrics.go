@@ -1,5 +1,7 @@
 package telemetry
 
+import "strings"
+
 // Domain metric bundles: the enumeration engines and the operational
 // machine each get a struct of pre-registered metrics with nil-safe
 // event methods, so the instrumented packages never touch the registry
@@ -107,7 +109,7 @@ func NewEnumMetrics(reg *Registry) *EnumMetrics {
 	m.Forks = reg.NewCounter("enum_forks_total", "child states materialized and queued (pruned, rolled-back, and leaf-elided candidates never fork)")
 	m.PoolHits = reg.NewCounter("enum_pool_hits_total", "forks served from a recycled state")
 	m.PoolMisses = reg.NewCounter("enum_pool_misses_total", "forks that allocated a fresh state")
-	m.DedupHits = reg.NewCounter("enum_dedup_hits_total", "forks dropped by Load-Store-graph dedup")
+	m.DedupHits = reg.NewCounter("enum_dedup_hits_total", "states dropped by the post-quiescence Load-Store-graph dedup check (reference engine only; the engine dedups at fork time: prune_prefix_hits, prune_symmetry_hits)")
 	m.Rollbacks = reg.NewCounter("enum_rollbacks_total", "behaviors discarded as inconsistent")
 	m.Steals = reg.NewCounter("enum_steals_total", "work items stolen from another worker's deque")
 	m.Behaviors = reg.NewCounter("enum_behaviors_total", "distinct final executions recorded")
@@ -277,16 +279,21 @@ func (m *DistMetrics) Snapshot() Snapshot {
 	return m.reg.Snapshot()
 }
 
-// fleetKeys maps each dist_fleet_* gauge to the worker-snapshot key it
+// fleetKeys maps each dist_fleet_* gauge to the worker-snapshot keys it
 // sums. The set is the live-view core of the engine counters — enough
 // to spot a hot shard or a stalled worker without scraping N processes.
-var fleetKeys = []struct{ gauge, snap string }{
-	{"dist_fleet_states_explored", "enum_states_explored_total"},
-	{"dist_fleet_forks", "enum_forks_total"},
-	{"dist_fleet_behaviors", "enum_behaviors_total"},
-	{"dist_fleet_dedup_hits", "enum_dedup_hits_total"},
-	{"dist_fleet_spill_runs", "enum_dedup_spill_runs_total"},
-	{"dist_fleet_retries", "dist_retries_total"},
+// dist_fleet_dedup_hits counts every child the seen-set dropped, at fork
+// time (the engine) or after quiescence (the reference engine).
+var fleetKeys = []struct {
+	gauge string
+	snaps []string
+}{
+	{"dist_fleet_states_explored", []string{"enum_states_explored_total"}},
+	{"dist_fleet_forks", []string{"enum_forks_total"}},
+	{"dist_fleet_behaviors", []string{"enum_behaviors_total"}},
+	{"dist_fleet_dedup_hits", []string{"prune_prefix_hits", "prune_symmetry_hits", "enum_dedup_hits_total"}},
+	{"dist_fleet_spill_runs", []string{"enum_dedup_spill_runs_total"}},
+	{"dist_fleet_retries", []string{"dist_retries_total"}},
 }
 
 // FleetMetrics is the coordinator-side aggregation of worker metric
@@ -308,7 +315,7 @@ func NewFleetMetrics(reg *Registry) *FleetMetrics {
 	}
 	m := &FleetMetrics{reg: reg}
 	for _, k := range fleetKeys {
-		m.gauges = append(m.gauges, reg.NewGauge(k.gauge, "fleet-wide sum of "+k.snap+" over live workers' heartbeat snapshots"))
+		m.gauges = append(m.gauges, reg.NewGauge(k.gauge, "fleet-wide sum of "+strings.Join(k.snaps, " + ")+" over live workers' heartbeat snapshots"))
 	}
 	m.Workers = reg.NewGauge("dist_fleet_snapshot_workers", "live workers whose snapshots fed the last aggregation")
 	return m
@@ -323,7 +330,9 @@ func (m *FleetMetrics) Update(snaps []Snapshot) {
 	for i, k := range fleetKeys {
 		var sum int64
 		for _, s := range snaps {
-			sum += s[k.snap]
+			for _, key := range k.snaps {
+				sum += s[key]
+			}
 		}
 		m.gauges[i].Set(sum)
 	}

@@ -75,10 +75,14 @@ func (p *Progress) draw() {
 	}
 	p.prev, p.prevTime = explored, now
 
-	forks := p.met.Forks.Value()
+	// The dedup rate is the share of Load Resolution's candidate children
+	// that the seen-set dropped (at fork time in the engine, after
+	// quiescence in the reference engine) among all it evaluated:
+	// dropped, forked, or elided in place on the parent.
+	dropped := p.met.PrunePrefix.Value() + p.met.PruneSymmetry.Value() + p.met.DedupHits.Value()
 	dedupPct := float64(0)
-	if forks > 0 {
-		dedupPct = 100 * float64(p.met.DedupHits.Value()) / float64(forks)
+	if evaluated := dropped + p.met.Forks.Value() + p.met.ChildrenElided.Value(); evaluated > 0 {
+		dedupPct = 100 * float64(dropped) / float64(evaluated)
 	}
 	line := fmt.Sprintf("%d behaviors | %d states (%.0f/s) | frontier %d | dedup %.1f%%",
 		p.met.Behaviors.Value(), explored, rate, p.met.Frontier.Value(), dedupPct)

@@ -73,17 +73,20 @@ func TestQuantileExport(t *testing.T) {
 
 // TestFleetMetricsUpdate: fleet gauges are live sums over the given
 // snapshots, and re-Update with fewer workers shrinks them (gauges, not
-// counters).
+// counters). dist_fleet_dedup_hits sums every seen-set drop: fork-time
+// prefix and symmetry prunes, which are the engine's only dedup, plus
+// the reference engine's post-quiescence discards.
 func TestFleetMetricsUpdate(t *testing.T) {
 	reg := NewRegistry()
 	f := NewFleetMetrics(reg)
 	f.Update([]Snapshot{
-		{"enum_states_explored_total": 100, "dist_retries_total": 2},
-		{"enum_states_explored_total": 50, "enum_behaviors_total": 7},
+		{"enum_states_explored_total": 100, "dist_retries_total": 2, "prune_prefix_hits": 30, "prune_symmetry_hits": 4},
+		{"enum_states_explored_total": 50, "enum_behaviors_total": 7, "prune_prefix_hits": 5, "enum_dedup_hits_total": 1},
 	})
 	s := reg.Snapshot()
 	if s["dist_fleet_states_explored"] != 150 || s["dist_fleet_behaviors"] != 7 ||
-		s["dist_fleet_retries"] != 2 || s["dist_fleet_snapshot_workers"] != 2 {
+		s["dist_fleet_retries"] != 2 || s["dist_fleet_snapshot_workers"] != 2 ||
+		s["dist_fleet_dedup_hits"] != 40 {
 		t.Fatalf("fleet sums wrong: %v", s)
 	}
 	f.Update([]Snapshot{{"enum_states_explored_total": 60}})
