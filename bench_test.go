@@ -415,11 +415,20 @@ func BenchmarkOracleVsEngineSC(b *testing.B) {
 // BenchmarkEnum times exactly what TestEnumCounts pins: every enumSuite
 // entry at width 1 under the entry's options. `go test -bench Enum
 // -benchmem` runs this family plus the parallel scaling benchmarks below.
+// Each entry also reports B/behavior, the live heap its result holds per
+// recorded behavior (TestResultFootprint's measure), taken once after
+// the first timed loop and outside the timer.
 func BenchmarkEnum(b *testing.B) {
 	for _, s := range enumSuite {
+		var footprint float64
 		b.Run(s.name(), func(b *testing.B) {
 			tc, m, opts := s.setup(b)
 			timeEnum(b, tc, m, opts)
+			b.StopTimer()
+			if footprint == 0 {
+				footprint = liveBytesPerBehavior(b, s)
+			}
+			b.ReportMetric(footprint, "B/behavior")
 		})
 	}
 }

@@ -167,24 +167,6 @@ func (k *shardedSet) insertLocked(sh *keyShard, h uint64, sig string) bool {
 	return true
 }
 
-// has is the lookup half of insert, with the same collision guard.
-func (k *shardedSet) has(h uint64, sig string) bool {
-	sh := k.lock(h)
-	defer sh.mu.Unlock()
-	if k.useString {
-		_, dup := sh.strs[sig]
-		return dup
-	}
-	if sh.guard != nil {
-		checkCollision(sh.guard, h, sig)
-	}
-	if sh.spill != nil {
-		return sh.spill.contains(h)
-	}
-	_, dup := sh.seen[h]
-	return dup
-}
-
 // stateKey is a completed state's plain (unsymmetrized) key pair.
 func (k *shardedSet) stateKey(s *state) (uint64, string) {
 	var sig string
@@ -195,7 +177,8 @@ func (k *shardedSet) stateKey(s *state) (uint64, string) {
 }
 
 // record adds a completed behavior, reporting whether it was new. A new
-// state's buffers escape into its Execution (do not pool it).
+// one is stored as the copies finish makes, so the caller may recycle s
+// either way — or, for a child recorded mid-trial, roll it back.
 func (k *shardedSet) record(s *state) bool {
 	h, sig := k.stateKey(s)
 	sh := k.lock(h)

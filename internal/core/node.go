@@ -32,11 +32,11 @@ type Node struct {
 	// generated instances; differs from PC in the presence of
 	// branches).
 	Seq int
-	// Kind mirrors the instruction kind.
-	Kind program.Kind
 	// Label names the node in results and diagnostics.
 	Label string
 
+	// Kind mirrors the instruction kind.
+	Kind program.Kind
 	// AddrKnown reports whether Addr is valid. Constant-address memory
 	// operations know their address at generation; register-indirect
 	// ones learn it when the producing instruction resolves. Section
@@ -68,7 +68,11 @@ type Node struct {
 	addrDep, valDep, condDep int
 	argDeps                  []int
 
-	instr program.Instr
+	// instr points at the instruction in the program text (zeroInstr for
+	// the start barrier and initializing stores). Nodes only read it, and
+	// no caller writes a built program's instructions, so every fork and
+	// every recorded execution shares it.
+	instr *program.Instr
 
 	// epoch is the generate() pass that created the node (0 for the
 	// start barrier and initializing stores). Node IDs are assigned in
@@ -76,6 +80,10 @@ type Node struct {
 	// the symmetry reduction reconstruct a permuted run's ID assignment.
 	epoch int32
 }
+
+// zeroInstr is the instruction of the nodes no thread generates: the start
+// barrier and the initializing stores.
+var zeroInstr program.Instr
 
 // IsMemory reports whether the node reads or writes memory.
 func (n *Node) IsMemory() bool {
@@ -139,6 +147,9 @@ func (n *Node) String() string {
 
 // Execution is one completed behavior: a fully resolved execution graph in
 // the sense of Section 3.1, ⟨≺, source, =ₐ⟩ closed under Store Atomicity.
+// It owns exact-size copies of what it reports and shares no storage with
+// the engine, whose states are recycled once they finish; only the
+// instructions its nodes refer to are the program's own.
 type Execution struct {
 	// Graph is the @ order: local (≺), alias, source, and derived
 	// atomicity edges. TSO bypass observations are NOT edges here; see

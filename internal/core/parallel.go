@@ -176,9 +176,10 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 	e.idleCond.L = &e.idleMu
 	e.seen.init(workers, opts, opts.DedupMemBudget)
 	defer e.seen.release()
-	// The finals set is never budgeted: completed executions pin their
-	// graphs and node slices regardless, so spilling their (far fewer)
-	// fingerprints would save nothing and cost a disk probe per final.
+	// The finals set is never budgeted: the result holds every recorded
+	// execution in memory regardless (each an exact copy of a few KB, see
+	// state.finish), so spilling their 16-byte fingerprints would save
+	// next to nothing and cost a disk probe per final.
 	e.finals.init(workers, opts, 0)
 	e.workers = make([]*wsWorker, workers)
 	limit := stateLimitFor(opts.MaxNodes)
@@ -778,13 +779,10 @@ func (w *wsWorker) process(s *state) {
 	}
 
 	if s.done() {
-		if e.finals.record(s) {
-			if e.met != nil {
-				e.met.Behaviors.Inc(w.idx)
-			}
-		} else {
-			w.pool.put(s)
+		if e.finals.record(s) && e.met != nil {
+			e.met.Behaviors.Inc(w.idx)
 		}
+		w.pool.put(s)
 		return
 	}
 
@@ -915,35 +913,19 @@ func (w *wsWorker) process(s *state) {
 				continue
 			}
 			if leaf && s.done() {
-				// The trial state IS the completed child behavior, so its
-				// key can be checked against the final set before any
-				// fork: an already-recorded behavior rolls back in place
-				// and the child never exists. Losing the membership race
-				// to a peer is benign — record re-checks under the shard
-				// lock.
-				if e.finals.has(e.finals.stateKey(s)) {
-					s.rollbackTrial(m, false)
-					w.stats.ChildrenElided++
-					if e.met != nil {
-						e.met.ChildrenElided.Inc(w.idx)
-					}
-					progressed = true
-					continue
+				// The trial state IS the completed child behavior. record
+				// copies what a new one reports, so the child is recorded
+				// straight from the trial (or found already recorded) and
+				// then rolled back in place: it is never forked.
+				if e.finals.record(s) && e.met != nil {
+					e.met.Behaviors.Inc(w.idx)
 				}
-				ns := s.fork(&w.pool)
-				s.rollbackTrial(m, true)
+				s.rollbackTrial(m, false)
 				w.stats.ChildrenElided++
 				if e.met != nil {
 					e.met.ChildrenElided.Inc(w.idx)
 				}
 				progressed = true
-				if e.finals.record(ns) {
-					if e.met != nil {
-						e.met.Behaviors.Inc(w.idx)
-					}
-				} else {
-					w.pool.put(ns)
-				}
 				continue
 			}
 			// Interior survivor: materialize mid-trial. The child is
@@ -978,7 +960,8 @@ func (w *wsWorker) process(s *state) {
 		e.setErr(fmt.Errorf("core: enumeration stalled with unresolved loads (model %s)", e.pol.Name()))
 		return
 	}
-	// The children forked above are deep copies; the parent's buffers are
-	// free to recycle.
+	// The children forked above share only frozen rows with the parent,
+	// and the behaviors recorded above are copies, so the parent's
+	// buffers are free to recycle.
 	w.pool.put(s)
 }

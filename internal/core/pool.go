@@ -2,10 +2,13 @@ package core
 
 // statePool is an explicit free list of retired behavior states. Each
 // engine worker owns one, so there is no cross-goroutine synchronization:
-// duplicates, rollbacks, and fully forked parents are returned to the
-// pool and their buffers (closure bitsets, node slices, register files,
-// per-address indexes) are recycled by the next fork. States whose
-// buffers escaped into an Execution (via finish) must never be returned.
+// rollbacks, demoted states, fully forked parents and finished states are
+// returned to the pool and their buffers (closure bitsets, node slices,
+// register files, per-address indexes) are recycled by the next fork. A
+// finished state may be returned because finish copies what its Execution
+// keeps. A recycled graph keeps its own slab segment only while that is no
+// longer than a fresh graph's first one (graph.CloneInto), so a pooled
+// state's arena does not grow over its lives.
 type statePool struct {
 	free []*state
 	// limitBytes caps the slab arena a retired state may pin (0 = no

@@ -172,36 +172,28 @@ func TestSpillEquivalence(t *testing.T) {
 // TestCollisionGuardPanics forces two distinct Load–Store-graph
 // signatures onto one fingerprint and checks the guard's contract: a
 // genuine duplicate is still a duplicate, and the collision panics with
-// the fingerprint and both signatures, on insert and on lookup alike.
-// The guard map is installed by hand so the test runs with or without
-// the dedupcheck build tag.
+// the fingerprint and both signatures. The guard map is installed by hand
+// so the test runs with or without the dedupcheck build tag.
 func TestCollisionGuardPanics(t *testing.T) {
 	const h = 0xdeadbeefcafe // the "colliding" FNV-1a fingerprint
-	for name, collide := range map[string]func(*shardedSet){
-		"insert": func(k *shardedSet) { k.insert(h, "sigB") },
-		"has":    func(k *shardedSet) { k.has(h, "sigB") },
-	} {
-		var k shardedSet
-		k.init(1, Options{}.withDefaults(), 0)
-		k.shards[0].guard = map[uint64]string{}
-		if !k.insert(h, "sigA") {
-			t.Fatal("first signature under the fingerprint not new")
-		}
-		if k.insert(h, "sigA") || !k.has(h, "sigA") {
-			t.Error("genuine duplicate of the first signature not recognized")
-		}
-		func() {
-			defer func() {
-				msg := fmt.Sprint(recover())
-				for _, want := range []string{"0x0000deadbeefcafe", `"sigA"`, `"sigB"`} {
-					if !strings.Contains(msg, want) {
-						t.Errorf("%s: collision panic %q does not name %s", name, msg, want)
-					}
-				}
-			}()
-			collide(&k)
-		}()
+	var k shardedSet
+	k.init(1, Options{}.withDefaults(), 0)
+	k.shards[0].guard = map[uint64]string{}
+	if !k.insert(h, "sigA") {
+		t.Fatal("first signature under the fingerprint not new")
 	}
+	if k.insert(h, "sigA") {
+		t.Error("genuine duplicate of the first signature not recognized")
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{"0x0000deadbeefcafe", `"sigA"`, `"sigB"`} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("collision panic %q does not name %s", msg, want)
+			}
+		}
+	}()
+	k.insert(h, "sigB")
 }
 
 // freshReadsPerProbe probes count keys no store insert used (splitmix64

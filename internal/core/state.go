@@ -203,10 +203,11 @@ func maxReg(p *program.Program) int {
 // stores for every statically known address, and empty threads.
 func newState(p *program.Program, pol order.Policy, opts Options) *state {
 	addrs := p.Addresses()
-	capHint := len(addrs) + 2
+	instrs := 0
 	for _, t := range p.Threads {
-		capHint += len(t.Instrs) + 1
+		instrs += len(t.Instrs)
 	}
+	capHint := len(addrs) + 2 + instrs + len(p.Threads)
 	s := &state{
 		prog:     p,
 		pol:      pol,
@@ -240,6 +241,7 @@ func newState(p *program.Program, pol order.Policy, opts Options) *state {
 	s.nodes = append(s.nodes, Node{
 		ID: s.start, Thread: -1, Kind: program.KindFence, Label: "start",
 		Resolved: true, Source: NoNode, addrDep: NoNode, valDep: NoNode, condDep: NoNode,
+		instr: &zeroInstr,
 	})
 	s.setNodeMask(&s.resolvedBits, s.start)
 	for i := range s.addrs {
@@ -251,6 +253,14 @@ func newState(p *program.Program, pol order.Policy, opts Options) *state {
 			regs[r] = noNode32
 		}
 		s.threads[i] = threadState{regs: regs, blocked: NoNode}
+	}
+	// Each thread's list is carved at its instruction count from one
+	// allocation, like the node slice above: a loop that generates more
+	// outgrows its capped slot by reallocating it.
+	ids := make([]int, instrs)
+	for i, t := range p.Threads {
+		n := len(t.Instrs)
+		s.byThread[i], ids = ids[:0:n], ids[n:]
 	}
 	return s
 }
@@ -313,6 +323,7 @@ func (s *state) addInitStore(a program.Addr, v program.Value, late bool) int {
 		Label:     "init:" + strconv.Itoa(int(a)),
 		AddrKnown: true, Addr: a, Resolved: true, Val: v,
 		Source: NoNode, addrDep: NoNode, valDep: NoNode, condDep: NoNode,
+		instr: &zeroInstr,
 	})
 	ms := addrSet{addr: a, init: id, stores: []int32{int32(id)}}
 	ms.storeBits = graph.NewBits(id + 1)
@@ -479,7 +490,7 @@ func threadLabel(ti, seq int) string {
 // genOne generates the next instruction of thread ti.
 func (s *state) genOne(ti int) error {
 	th := &s.threads[ti]
-	in := s.prog.Threads[ti].Instrs[th.pc]
+	in := &s.prog.Threads[ti].Instrs[th.pc]
 	id := s.g.AddNodes(1)
 	n := Node{
 		ID: id, Thread: ti, PC: th.pc, Seq: th.genSeq, Kind: in.Kind,
@@ -798,15 +809,28 @@ func (s *state) fingerprint() uint64 {
 	return fingerprintNodes(s.nodes)
 }
 
-// finish freezes the state into an Execution. The graph, node slice, and
-// bypass list escape into the Execution, so a finished state must not be
-// returned to a pool.
+// finish records the state as an Execution that owns exact-size copies of
+// its graph, nodes, bypasses and path. No buffer of the state escapes, so
+// a finished state goes back to the pool like any other, and a recorded
+// behavior pins only what it reports: not the spare capacity of the
+// state's slices, nor the slab arenas its copy-on-write graph inherited.
 func (s *state) finish() *Execution {
 	return &Execution{
-		Graph:    s.g,
-		Nodes:    s.nodes,
-		Bypasses: s.bypasses,
+		Graph:    s.g.Clone(),
+		Nodes:    exactCopy(s.nodes),
+		Bypasses: exactCopy(s.bypasses),
 		Model:    s.pol.Name(),
-		Path:     s.path,
+		Path:     exactCopy(s.path),
 	}
+}
+
+// exactCopy returns a copy of x whose capacity is its length, or nil when
+// x is empty.
+func exactCopy[T any](x []T) []T {
+	if len(x) == 0 {
+		return nil
+	}
+	c := make([]T, len(x))
+	copy(c, x)
+	return c
 }

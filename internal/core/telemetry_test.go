@@ -131,19 +131,16 @@ func TestStatsUnifiedAcrossEngines(t *testing.T) {
 	if par.Stats.Workers != 4 {
 		t.Errorf("parallel Stats.Workers = %d, want 4", par.Stats.Workers)
 	}
-	// Every pool get is a fork() call: the queued children counted by
-	// Forks plus the leaf children materialized straight into the final
-	// set (a subset of ChildrenElided; trial rollbacks never fork).
+	// Every pool get is a fork() call, and only queued children (Forks)
+	// are forked: trial rollbacks and leaf children, which are recorded
+	// straight from the trial, never are.
 	for _, eng := range []struct {
 		name string
 		st   Stats
 	}{{"sequential", seq.Stats}, {"parallel", par.Stats}} {
-		gets := eng.st.PoolHits + eng.st.PoolMisses
-		lo := eng.st.Forks
-		hi := eng.st.Forks + eng.st.ChildrenElided - eng.st.TrialRollbacks
-		if gets < lo || gets > hi {
-			t.Errorf("%s pool accounting: hits %d + misses %d outside [forks %d, forks+leaf materializations %d]",
-				eng.name, eng.st.PoolHits, eng.st.PoolMisses, lo, hi)
+		if gets := eng.st.PoolHits + eng.st.PoolMisses; gets != eng.st.Forks {
+			t.Errorf("%s pool accounting: hits %d + misses %d, want forks %d",
+				eng.name, eng.st.PoolHits, eng.st.PoolMisses, eng.st.Forks)
 		}
 	}
 	if seq.Stats.StatesExplored != par.Stats.StatesExplored ||

@@ -143,14 +143,25 @@ func (g *Graph) ChangeLogEmpty() bool { return !g.logOn || g.log.Empty() }
 func rowWords(capacity int) int { return (capacity + 63) / 64 }
 
 // New returns a graph with n nodes and capacity for at least capHint nodes
-// (growing beyond the hint reallocates rows).
+// (growing beyond the hint reallocates rows). The four handle arrays are
+// carved from one allocation sized to the hint, so adding nodes up to it
+// never grows them.
 func New(n, capHint int) *Graph {
 	if capHint < n {
 		capHint = n
 	}
 	g := &Graph{cap: capHint, rowW: rowWords(capHint), cur: -1, cow: true, fam: &CowCounters{}}
+	g.succH, g.predH, g.descH, g.ancH = carveHandles(make([]uint64, 4*capHint), capHint)
 	g.AddNodes(n)
 	return g
+}
+
+// carveHandles splits hs into four empty handle arrays of capacity k
+// each. The capacities are capped, so an append past k reallocates that
+// array alone instead of running into the next one.
+func carveHandles(hs []uint64, k int) (succ, pred, desc, anc []uint64) {
+	at := func(i int) []uint64 { return hs[i*k : i*k : (i+1)*k] }
+	return at(0), at(1), at(2), at(3)
 }
 
 // Len returns the current node count.
@@ -350,12 +361,30 @@ func (g *Graph) WouldCycle(a, b int) bool { return a == b || g.row(g.descH[b]).H
 // (non-COW) graph outside any fork family, so it stays valid as a
 // snapshot or test oracle no matter what the original does next. The fork
 // hot path uses CloneInto instead.
+//
+// The copy is exact, because the engine records every completed behavior
+// as a clone: one arena holds the rows, the four handle arrays and the
+// change log, and the edge list is copied to its length. The handle arrays
+// and the log are capped (three-index slices), so a later AddNodes on the
+// clone reallocates them instead of writing past their part of the arena.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{cur: -1}
-	g.deepRowsInto(c)
-	c.edges = append([]Edge(nil), g.edges...)
-	c.logOn = g.logOn
-	c.log = g.log.Clone()
+	n, w := g.n, g.rowW
+	rows, logW := 4*n*w, len(g.log)
+	arena := make([]uint64, rows+4*n+logW)
+	c := &Graph{n: n, cap: g.cap, rowW: w, cur: -1, logOn: g.logOn}
+	if rows > 0 {
+		c.segs = [][]uint64{arena[:rows:rows]}
+		c.cur = 0
+	}
+	succ, pred, desc, anc := carveHandles(arena[rows:rows+4*n], n)
+	c.succH = g.deepRowSet(c, succ, g.succH)
+	c.predH = g.deepRowSet(c, pred, g.predH)
+	c.descH = g.deepRowSet(c, desc, g.descH)
+	c.ancH = g.deepRowSet(c, anc, g.ancH)
+	c.log = Bits(arena[rows+4*n:])
+	copy(c.log, g.log)
+	c.edges = make([]Edge, len(g.edges))
+	copy(c.edges, g.edges)
 	return c
 }
 
@@ -385,8 +414,16 @@ func (g *Graph) CloneInto(dst *Graph) *Graph {
 		// in g's inherited list if g descends from dst's previous life;
 		// that double listing is harmless — only dst appends to it, and
 		// only beyond the preserved offset.)
+		//
+		// Only a segment no longer than slabMinWords, the most a fresh
+		// graph's first segment takes, is retained. A segment that filled
+		// is followed by one twice its size, so retaining whatever is
+		// current would let a pooled graph's arena double over its lives,
+		// and every state forked into it would be charged the whole arena
+		// against the frontier budget. A longer one is dropped, and the
+		// next row copy starts a first segment as a fresh graph would.
 		retained, roff := []uint64(nil), 0
-		if dst.cur >= 0 {
+		if dst.cur >= 0 && len(dst.segs[dst.cur]) <= slabMinWords {
 			retained, roff = dst.segs[dst.cur], dst.off
 		}
 		dst.segs = append(dst.segs[:0], g.segs...)

@@ -89,6 +89,26 @@ func TestCloneIndependence(t *testing.T) {
 	if !c.Before(0, 2) {
 		t.Error("clone closure wrong")
 	}
+	// A clone is allocated exactly, so growing it, within its capacity
+	// and past it, must reallocate its handle arrays and change log
+	// rather than write past them into each other.
+	c.EnableChangeLog()
+	one := c.AddNodes(1)
+	mustOK(t, c.AddEdge(2, one, EdgeLocal))
+	first := c.AddNodes(70)
+	mustOK(t, c.AddEdge(one, first+69, EdgeLocal))
+	want := c.Clone()
+	want.RecomputeClosure()
+	for i := 0; i < c.Len(); i++ {
+		for j := 0; j < c.Len(); j++ {
+			if c.Before(i, j) != want.Before(i, j) {
+				t.Fatalf("grown clone: Before(%d, %d) = %v, recomputed %v", i, j, c.Before(i, j), want.Before(i, j))
+			}
+		}
+	}
+	if !c.Before(0, first+69) || g.Len() != 3 || g.Before(0, 2) {
+		t.Error("grown clone lost its closure or reached the original")
+	}
 }
 
 // TestIncrementalClosureMatchesRecompute is the property test for the
