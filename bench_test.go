@@ -28,6 +28,7 @@ import (
 	"storeatomicity/internal/program"
 	"storeatomicity/internal/randprog"
 	"storeatomicity/internal/serial"
+	"storeatomicity/internal/telemetry"
 	"storeatomicity/internal/txn"
 	"storeatomicity/internal/verify"
 )
@@ -431,6 +432,31 @@ func BenchmarkEnum(b *testing.B) {
 			b.ReportMetric(footprint, "B/behavior")
 		})
 	}
+}
+
+// --- The budgeted width-2 path ---
+
+// BenchmarkEnumWide times E15's program at width 2 under 256 KiB
+// frontier and dedup budgets, bench/'s enum-wide budgets, so the
+// seen-set spills, the frontier demotes and the workers steal.
+// runs/op counts spill runs flushed, demoted/op frontier states demoted.
+func BenchmarkEnumWide(b *testing.B) {
+	tc := sb4w()
+	m, _ := litmus.ModelByName("Relaxed")
+	opts := core.Options{FrontierResidentBytes: 256 << 10, DedupMemBudget: 256 << 10}
+	var runs, demoted int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts.Metrics = telemetry.NewEnumMetrics(nil)
+		res, err := core.EnumerateParallel(context.Background(), tc.Build(), m.Policy, opts, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs += opts.Metrics.SpillRuns.Value()
+		demoted += int64(res.Stats.FrontierDemoted)
+	}
+	b.ReportMetric(float64(runs)/float64(b.N), "runs/op")
+	b.ReportMetric(float64(demoted)/float64(b.N), "demoted/op")
 }
 
 // --- The engine against the reference engine ---

@@ -64,11 +64,12 @@ func fingerprintNodes(nodes []Node) uint64 {
 // (recording executions) the completed-behavior set. It is split into a
 // power of two of shards, each under its own mutex, so workers rarely
 // contend: one shard at width 1, dedupShards above. Keys are fingerprints
-// — in an unbounded map, or in a per-shard RAM-bounded spillStore when a
-// spill budget is set; with Options.dedupString they are the string
+// in the shards' maps; with Options.dedupString they are the string
 // signatures instead (the property-test oracle); under the dedupcheck build
 // tag a signature guard cross-checks fingerprints and panics on a
-// collision.
+// collision. A spill budget makes the maps the hot tier of one
+// RAM-bounded set, whose cold tier is one spillStore under the whole
+// budget (see dedupspill.go).
 // Signature-keyed sets still pick the shard by fingerprint, which is a
 // function of the signature.
 type shardedSet struct {
@@ -76,18 +77,21 @@ type shardedSet struct {
 	one       [1]keyShard // backs shards at width 1: no allocation per run
 	mask      uint64
 	useString bool
-	budget    int64 // per-shard spill budget; 0 keeps in-memory maps
-	spill     spillShared
+	// cold is a budgeted set's cold tier, nil otherwise. flushMu
+	// serializes spill.
+	cold    *spillStore
+	flushMu sync.Mutex
 }
 
-// keyShard is one shard; execs holds the executions recorded into it.
+// keyShard is one shard; execs holds the executions recorded into it,
+// and blockBuf is its buffer for reading run blocks on a cold probe.
 type keyShard struct {
-	mu    sync.Mutex
-	seen  map[uint64]struct{}
-	strs  map[string]struct{}
-	spill *spillStore
-	guard map[uint64]string
-	execs []recorded
+	mu       sync.Mutex
+	seen     map[uint64]struct{}
+	strs     map[string]struct{}
+	guard    map[uint64]string
+	execs    []recorded
+	blockBuf []byte
 }
 
 // recorded is an execution with the fingerprint it was recorded under.
@@ -101,34 +105,28 @@ type recorded struct {
 const dedupShards = 64
 
 // init sizes the set for an engine of the given width. A positive budget
-// is split evenly across the shards' spill stores.
+// bounds the whole set, at every width.
 func (k *shardedSet) init(workers int, opts Options, budget int64) {
 	k.shards = k.one[:]
 	if workers > 1 {
 		k.shards = make([]keyShard, dedupShards)
 	}
-	n := int64(len(k.shards))
-	k.mask = uint64(n - 1)
+	k.mask = uint64(len(k.shards) - 1)
 	k.useString = opts.dedupString
-	k.spill.met, k.spill.jl = opts.Metrics, opts.Journal
 	if budget > 0 && !k.useString {
-		k.budget = max(budget/n, 1)
-		if opts.Metrics != nil {
-			opts.Metrics.DedupBudget.Set(budget)
-		}
+		k.cold = newSpillStore(budget, opts.Metrics, opts.Journal)
 	}
 }
 
-// lock returns h's shard, locked and initialized; the caller unlocks it.
+// lock returns h's shard, locked and initialized; the caller unlocks it,
+// with unlock if it may have added a key.
 func (k *shardedSet) lock(h uint64) *keyShard {
 	sh := &k.shards[h&k.mask]
 	sh.mu.Lock()
 	switch {
-	case sh.seen != nil || sh.strs != nil || sh.spill != nil:
+	case sh.seen != nil || sh.strs != nil:
 	case k.useString:
 		sh.strs = map[string]struct{}{}
-	case k.budget > 0:
-		sh.spill = newSpillStore(k.budget, &k.spill)
 	default:
 		sh.seen = map[uint64]struct{}{}
 	}
@@ -138,11 +136,52 @@ func (k *shardedSet) lock(h uint64) *keyShard {
 	return sh
 }
 
+// unlock releases sh, and then flushes the hot tier if it is full.
+func (k *shardedSet) unlock(sh *keyShard) {
+	full := k.cold != nil && k.cold.full()
+	sh.mu.Unlock()
+	if full {
+		k.spill()
+	}
+}
+
+// spill flushes the shards' maps into one run of the cold tier. It is
+// entered with no shard lock held; of several callers that found the
+// hot tier full, the first flushes it and the rest return at the
+// re-check.
+func (k *shardedSet) spill() {
+	st := k.cold
+	k.flushMu.Lock()
+	defer k.flushMu.Unlock()
+	if !st.full() {
+		return
+	}
+	for i := range k.shards {
+		k.shards[i].mu.Lock()
+	}
+	keys := st.sortBuf[:0]
+	for i := range k.shards {
+		for h := range k.shards[i].seen {
+			keys = append(keys, h)
+		}
+	}
+	slices.Sort(keys)
+	st.sortBuf = keys
+	if st.flush(keys) {
+		for i := range k.shards {
+			clear(k.shards[i].seen)
+		}
+	}
+	for i := len(k.shards) - 1; i >= 0; i-- {
+		k.shards[i].mu.Unlock()
+	}
+}
+
 // insert adds a key pair, reporting whether it was new. sig may be empty
 // unless the set is signature-keyed or collision-checked.
 func (k *shardedSet) insert(h uint64, sig string) bool {
 	sh := k.lock(h)
-	defer sh.mu.Unlock()
+	defer k.unlock(sh)
 	return k.insertLocked(sh, h, sig)
 }
 
@@ -157,11 +196,21 @@ func (k *shardedSet) insertLocked(sh *keyShard, h uint64, sig string) bool {
 	if sh.guard != nil {
 		checkCollision(sh.guard, h, sig)
 	}
-	if sh.spill != nil {
-		return sh.spill.insert(h)
-	}
+	return k.addLocked(sh, h)
+}
+
+// addLocked adds fingerprint h unless a tier holds it, reporting whether
+// it was new. A budgeted set probes its cold tier when the shard's map
+// misses, and counts the key it adds. Caller holds sh.mu.
+func (k *shardedSet) addLocked(sh *keyShard, h uint64) bool {
 	if _, dup := sh.seen[h]; dup {
 		return false
+	}
+	if k.cold != nil {
+		if k.cold.contains(h, &sh.blockBuf) {
+			return false
+		}
+		k.cold.add()
 	}
 	sh.seen[h] = struct{}{}
 	return true
@@ -182,7 +231,7 @@ func (k *shardedSet) stateKey(s *state) (uint64, string) {
 func (k *shardedSet) record(s *state) bool {
 	h, sig := k.stateKey(s)
 	sh := k.lock(h)
-	defer sh.mu.Unlock()
+	defer k.unlock(sh)
 	if !k.insertLocked(sh, h, sig) {
 		return false
 	}
@@ -202,19 +251,15 @@ func (k *shardedSet) seed(hs []uint64) {
 	}
 	for _, h := range hs {
 		sh := k.lock(h)
-		if sh.spill != nil {
-			sh.spill.insert(h)
-		} else {
-			sh.seen[h] = struct{}{}
-		}
-		sh.mu.Unlock()
+		k.addLocked(sh, h)
+		k.unlock(sh)
 	}
 }
 
 // export returns the set's fingerprints in ascending order, so what a
-// caller ships does not depend on map iteration order. A spill-backed
-// shard exports only its resident hot tier — the disk runs are exactly
-// the keys too numerous to ship anyway.
+// caller ships does not depend on map iteration order. A budgeted set
+// exports only its hot tier — the disk runs are exactly the keys too
+// numerous to ship anyway.
 func (k *shardedSet) export() []uint64 {
 	if k.useString {
 		return nil
@@ -223,11 +268,7 @@ func (k *shardedSet) export() []uint64 {
 	for i := range k.shards {
 		sh := &k.shards[i]
 		sh.mu.Lock()
-		src := sh.seen
-		if sh.spill != nil {
-			src = sh.spill.hot
-		}
-		for h := range src {
+		for h := range sh.seen {
 			out = append(out, h)
 		}
 		sh.mu.Unlock()
@@ -273,30 +314,22 @@ func (k *shardedSet) sorted() []*Execution {
 	return out
 }
 
-// degradations collects why any shard's spill tier fell back to one-sided
-// operation; nil for in-memory sets and healthy spills.
+// degradations says why the spill tier fell back to one-sided
+// operation; nil for in-memory sets and healthy spills. Call it once the
+// workers have joined.
 func (k *shardedSet) degradations() []string {
-	var out []string
-	for i := range k.shards {
-		sh := &k.shards[i]
-		sh.mu.Lock()
-		if sh.spill != nil {
-			out = append(out, sh.spill.degraded...)
-		}
-		sh.mu.Unlock()
+	if k.cold == nil {
+		return nil
 	}
-	return out
+	return k.cold.degraded
 }
 
-// release frees every shard's disk-backed tier. The workers have joined,
-// so it also publishes the spill gauges' final, exact values.
+// release frees the disk-backed tier. The workers have joined, so it
+// also publishes the spill gauges' final, exact values.
 func (k *shardedSet) release() {
-	for i := range k.shards {
-		if sp := k.shards[i].spill; sp != nil {
-			sp.release()
-		}
+	if k.cold != nil {
+		k.cold.release()
 	}
-	k.spill.publish()
 }
 
 // checkCollision records sig as h's signature, and panics with the

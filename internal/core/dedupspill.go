@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"os"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"storeatomicity/internal/obslog"
@@ -18,9 +19,10 @@ import (
 // RAM-bounded dedup: the seen-set is the only engine structure that
 // grows with the number of *distinct* states rather than with the
 // program, so it alone decides the largest search a host can run. A
-// spillStore keeps dedup working past that point: a hot in-memory tier
-// absorbs inserts, and when it reaches its budgeted size its
-// fingerprints are sorted and flushed as an immutable run file. Each run
+// budgeted set keeps dedup working past that point. Its shards' maps are
+// the hot tier, which absorbs inserts; when the hot tier reaches its
+// budgeted size, its fingerprints are sorted and flushed as an immutable
+// run file into the set's one spillStore, the cold tier. Each run
 // keeps a sparse in-memory index (one key per block) and a Bloom filter
 // built while the run is written. A lookup that misses the hot tier asks
 // each run's filter first, and reads a block only from the runs whose
@@ -83,47 +85,18 @@ type spillRun struct {
 	filter runFilter
 }
 
-// spillShared is what the stores of one seen-set share: the metrics, the
-// journal, and the set-wide totals behind the resident and run-file
-// gauges, kept the way wsEngine.resident feeds frontier_resident_bytes,
-// so the gauges describe the whole set rather than the shard that wrote
-// last.
-type spillShared struct {
-	met                *telemetry.EnumMetrics
-	jl                 *obslog.Journal
-	resident, runfiles atomic.Int64
-}
-
-// account adds a change in one store's resident bytes and live run files
-// to the set-wide gauges (maintained only with metrics on).
-func (sh *spillShared) account(resident, runfiles int64) {
-	if sh.met == nil {
-		return
-	}
-	sh.met.DedupResident.Set(sh.resident.Add(resident))
-	if runfiles != 0 {
-		sh.met.DedupRunFiles.Set(sh.runfiles.Add(runfiles))
-	}
-}
-
-// publish sets the gauges from the totals. Two shards' updates can cross
-// between their Add and Set, so the engine publishes once more after its
-// workers have joined, which makes the final values exact.
-func (sh *spillShared) publish() {
-	if sh.met == nil {
-		return
-	}
-	sh.met.DedupResident.Set(sh.resident.Load())
-	sh.met.DedupRunFiles.Set(sh.runfiles.Load())
-}
-
-// spillStore is the tiered fingerprint set described above. It is not
-// safe for concurrent use; the engine gives each dedup shard
-// its own store under the existing shard mutex.
+// spillStore is the cold tier of one budgeted seen-set, sized to the
+// whole budget: the runs its shards' maps flush into, with their indexes
+// and filters. The runs change only in flush and compact, which run with
+// every shard locked (shardedSet.spill), so probes under different shard
+// locks read them concurrently between flushes.
 type spillStore struct {
 	budget int64
+	// hotCap is the hot tier's capacity in keys. hot counts the keys in
+	// the shards' maps: each is added under its shard's lock, and a flush
+	// zeroes the count with every shard locked.
 	hotCap int
-	hot    map[uint64]struct{}
+	hot    atomic.Int64
 	runs   []*spillRun
 	// filterBytes is what the runs' filters hold, at most budget/2;
 	// filterRate is the bits per key a flushed run's filter may take,
@@ -131,28 +104,31 @@ type spillStore struct {
 	filterBytes int64
 	filterRate  float64
 	// broken latches a flush failure: the store stops spilling and
-	// degrades to an ordinary in-memory set.
+	// the set degrades to an ordinary in-memory set.
 	broken bool
 	// degraded records the first occurrence of each degradation leg
 	// (flush, compact, read) so the final Stats/Incomplete report can
-	// say *why* the run fell back, not just that it did.
+	// say *why* the run fell back, not just that it did. Two shards'
+	// probes can fail a read at once, hence degMu.
+	degMu    sync.Mutex
 	degraded []string
 
-	sh                               *spillShared
+	met                              *telemetry.EnumMetrics
+	jl                               *obslog.Journal
 	runsC, probesC, readsC, compactC *telemetry.Counter
 
-	sortBuf  []uint64 // flush scratch
-	blockBuf []byte   // cold-probe read buffer (one block)
+	sortBuf []uint64 // flush scratch
 }
 
 // newSpillStore sizes a store to a byte budget: the hot tier starts at
 // budget/spillHotBytesPerKey fingerprints, minimum one.
-func newSpillStore(budget int64, sh *spillShared) *spillStore {
-	st := &spillStore{budget: budget, hot: make(map[uint64]struct{}), filterRate: spillFilterBitsPerKey, sh: sh}
+func newSpillStore(budget int64, met *telemetry.EnumMetrics, jl *obslog.Journal) *spillStore {
+	st := &spillStore{budget: budget, filterRate: spillFilterBitsPerKey, met: met, jl: jl}
 	st.fitHot()
-	if met := sh.met; met != nil {
+	if met != nil {
 		st.runsC, st.probesC, st.readsC = met.SpillRuns, met.SpillProbes, met.SpillReads
 		st.compactC = met.SpillCompactions
+		met.DedupBudget.Set(budget)
 	}
 	return st
 }
@@ -162,9 +138,25 @@ func (st *spillStore) fitHot() {
 	st.hotCap = int(max((st.budget-st.filterBytes)/spillHotBytesPerKey, 1))
 }
 
-// resident is the store's budgeted footprint: hot entries plus filters.
+// resident is the set's budgeted footprint: hot entries plus filters.
 func (st *spillStore) resident() int64 {
-	return int64(len(st.hot))*spillHotBytesPerKey + st.filterBytes
+	return st.hot.Load()*spillHotBytesPerKey + st.filterBytes
+}
+
+// add counts a key that a shard's map took. Caller holds that shard's
+// lock.
+func (st *spillStore) add() {
+	n := st.hot.Add(1)
+	if st.met != nil {
+		st.met.DedupResident.Set(n*spillHotBytesPerKey + st.filterBytes)
+	}
+}
+
+// full reports whether the hot tier has reached its capacity and the
+// store can still flush. hotCap and broken change only in flush, so the
+// caller holds a shard lock or the set's flush mutex.
+func (st *spillStore) full() bool {
+	return st.hot.Load() >= int64(st.hotCap) && !st.broken
 }
 
 // degrade records one degradation reason per leg (the first failure of
@@ -172,53 +164,39 @@ func (st *spillStore) resident() int64 {
 // journals it — a silent fallback that only surfaces in the final
 // report is exactly what the journal exists to prevent.
 func (st *spillStore) degrade(leg string, err error) {
+	st.degMu.Lock()
+	defer st.degMu.Unlock()
 	for _, d := range st.degraded {
 		if len(d) >= len(leg) && d[:len(leg)] == leg {
 			return
 		}
 	}
 	st.degraded = append(st.degraded, fmt.Sprintf("%s: %v", leg, err))
-	st.sh.jl.Emit(obslog.SpillDegraded, obslog.Fields{Detail: leg, Err: err.Error()})
+	st.jl.Emit(obslog.SpillDegraded, obslog.Fields{Detail: leg, Err: err.Error()})
 }
 
-// contains reports whether h is in any tier. Runs whose filter rules h
-// out are skipped without a read.
-func (st *spillStore) contains(h uint64) bool {
-	if _, ok := st.hot[h]; ok {
-		return true
-	}
+// contains reports whether a run holds h, reading blocks into *buf, the
+// probing shard's buffer. Runs whose filter rules h out are skipped
+// without a read. Caller holds a shard lock.
+func (st *spillStore) contains(h uint64, buf *[]byte) bool {
 	if len(st.runs) == 0 {
 		return false
 	}
 	st.probesC.Inc(0)
 	x := filterKey(h)
 	for _, r := range st.runs {
-		if r.filter.mayContain(x) && st.runContains(r, h) {
+		if r.filter.mayContain(x) && st.runContains(r, h, buf) {
 			return true
 		}
 	}
 	return false
 }
 
-// insert adds h, reporting whether it was new. A full hot tier is
-// flushed to a fresh run after the insert.
-func (st *spillStore) insert(h uint64) bool {
-	if st.contains(h) {
-		return false
-	}
-	st.hot[h] = struct{}{}
-	st.sh.account(spillHotBytesPerKey, 0)
-	if len(st.hot) >= st.hotCap && !st.broken {
-		st.flush()
-	}
-	return true
-}
-
 // runContains binary-searches one run: the sparse index locates the
 // block that could hold h, one ReadAt fetches it, and a binary search
 // over the block decides. I/O errors report "not seen" (see the
 // file comment for why that is safe).
-func (st *spillStore) runContains(r *spillRun, h uint64) bool {
+func (st *spillStore) runContains(r *spillRun, h uint64, blockBuf *[]byte) bool {
 	blk := sort.Search(len(r.index), func(i int) bool { return r.index[i] > h }) - 1
 	if blk < 0 {
 		return false
@@ -227,10 +205,10 @@ func (st *spillStore) runContains(r *spillRun, h uint64) bool {
 	if count > spillBlockKeys {
 		count = spillBlockKeys
 	}
-	if cap(st.blockBuf) < spillBlockKeys*8 {
-		st.blockBuf = make([]byte, spillBlockKeys*8)
+	if cap(*blockBuf) < spillBlockKeys*8 {
+		*blockBuf = make([]byte, spillBlockKeys*8)
 	}
-	buf := st.blockBuf[:count*8]
+	buf := (*blockBuf)[:count*8]
 	st.readsC.Inc(0)
 	if _, err := r.f.ReadAt(buf, int64(blk)*spillBlockKeys*8); err != nil {
 		st.degrade("read", err)
@@ -252,34 +230,40 @@ func (st *spillStore) runContains(r *spillRun, h uint64) bool {
 	return false
 }
 
-// flush sorts the hot tier into a new run file, whose filter takes at
-// most filterRate bits per key from what is left of the filters' half of
-// the budget, and then refits the hot tier. On any I/O error the store
-// is marked broken and the keys stay in memory.
-func (st *spillStore) flush() {
-	keys := st.sortBuf[:0]
-	for h := range st.hot {
-		keys = append(keys, h)
-	}
-	st.sortBuf = keys
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	resident, files := st.resident(), len(st.runs)
+// flush writes the hot tier's keys, sorted, into a new run file, whose
+// filter takes at most filterRate bits per key from what is left of the
+// filters' half of the budget, and then refits the hot tier. It reports
+// whether the caller, which holds every shard lock, may now empty the
+// shards' maps. On any I/O error the store is marked broken and the
+// keys stay in memory.
+func (st *spillStore) flush(keys []uint64) bool {
 	r, err := writeRun(&sliceSource{keys: keys}, len(keys), filterSize(len(keys), st.filterRate, st.budget/2-st.filterBytes))
 	if err != nil {
 		st.broken = true
 		st.degrade("flush", err)
-		return
+		return false
 	}
 	st.runs = append(st.runs, r)
 	st.filterBytes += r.filter.bytes()
-	clear(st.hot)
+	st.hot.Store(0)
 	st.runsC.Inc(0)
 	if len(st.runs) > spillMaxRuns {
 		st.compact()
 	}
 	st.fitHot()
-	st.sh.account(st.resident()-resident, int64(len(st.runs)-files))
+	st.publish()
+	return true
+}
+
+// publish sets the resident and run-file gauges. Inserts under different
+// shard locks can cross between their count and their gauge update, so
+// release publishes once more after the workers have joined, which makes
+// the final values exact.
+func (st *spillStore) publish() {
+	if st.met != nil {
+		st.met.DedupResident.Set(st.resident())
+		st.met.DedupRunFiles.Set(int64(len(st.runs)))
+	}
 }
 
 // compact folds every run into one via a loser-tree merge. The merged
@@ -312,13 +296,14 @@ func (st *spillStore) compact() {
 	st.compactC.Inc(0)
 }
 
-// release closes and deletes every run file. The store is unusable
-// afterwards.
+// release publishes the gauges' final values, then closes and deletes
+// every run file. The store is unusable afterwards.
 func (st *spillStore) release() {
+	st.publish()
 	for _, r := range st.runs {
 		releaseRun(r)
 	}
-	st.runs, st.hot = nil, nil
+	st.runs = nil
 }
 
 func releaseRun(r *spillRun) {
@@ -399,8 +384,7 @@ type runFilter struct {
 }
 
 // filterKey remixes a fingerprint for filter probes with the splitmix64
-// finalizer. The raw low bits of an FNV-1a fingerprint are weak, and
-// the keys of one dedup shard share them.
+// finalizer. The raw low bits of an FNV-1a fingerprint are weak.
 func filterKey(h uint64) uint64 {
 	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
 	h = (h ^ h>>27) * 0x94d049bb133111eb

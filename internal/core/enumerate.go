@@ -45,9 +45,9 @@ type Options struct {
 	// The budget covers the hot tier and the filters: the filters take
 	// at most half of it, and only once the store has spilled. The
 	// behavior set is bit-identical to an unbounded run at any worker
-	// count; only where fingerprints live changes. Above width 1 each of
-	// the seen-set's shards gets an even share. Ignored for the
-	// string-keyed test baseline.
+	// count; only where fingerprints live changes. The budget bounds the
+	// whole seen-set at every width. Ignored for the string-keyed test
+	// baseline.
 	DedupMemBudget int64
 	// FrontierResidentBytes caps the bytes of fully materialized states
 	// parked on the engine's work queues. Beyond the budget, the oldest
@@ -59,8 +59,9 @@ type Options struct {
 	// bit-identical at any worker count — demotion/revival preserves the
 	// exact exploration order. 0 (the default) never demotes. A negative
 	// value picks an automatic budget of about 1024 resident states at
-	// the MaxNodes ceiling. The budget is split evenly across the
-	// workers. Together with DedupMemBudget it bounds the two structures
+	// the MaxNodes ceiling. The budget bounds the resident bytes of every
+	// worker's queue together: a push past it demotes the pusher's oldest
+	// entries. Together with DedupMemBudget it bounds the two structures
 	// that grow with the search rather than with the program.
 	FrontierResidentBytes int64
 	// CandidateHook, when non-nil, observes every Load Resolution
@@ -168,8 +169,7 @@ type Stats struct {
 	TrialRollbacks int
 	// FrontierDemoted counts queued states demoted to compressed replay
 	// paths under Options.FrontierResidentBytes; FrontierResidentPeak is
-	// the high-water mark of resident frontier bytes (exact at width 1,
-	// the sum of per-worker peaks above).
+	// the high-water mark of resident frontier bytes across all workers.
 	FrontierDemoted      int
 	FrontierResidentPeak int64
 	// DuplicatesDiscarded counts behaviors dropped by the
@@ -405,56 +405,45 @@ func saveTimed(cfg *CheckpointConfig, c *Checkpoint, opts Options) {
 // runToQuiescence alternates generation and execution until neither makes
 // progress, then applies the Store Atomicity closure (alias edges inserted
 // during execution can require derived edges before any new resolution).
-// When the behavior's options carry telemetry the timed variant runs
-// instead; the untimed loop below stays free of clock reads so the
-// disabled path costs nothing.
-func (s *state) runToQuiescence() error {
-	if s.opts.Metrics != nil || s.opts.Tracer != nil {
-		return s.runToQuiescenceTimed()
-	}
-	for {
-		gen, err := s.generate()
-		if err != nil {
-			return err
-		}
-		exe, err := s.execute()
-		if err != nil {
-			return err
-		}
-		if !gen && !exe {
-			break
-		}
-	}
-	return s.closure()
-}
-
-// runToQuiescenceTimed is runToQuiescence with phase accounting: generate
+// When the behavior's options carry telemetry the loop is timed: generate
 // time feeds the Section 4 step-1 counter, execute + closure time the
 // step-2 counter, and the whole fixpoint becomes one "quiesce" span on
 // the worker's trace lane. Timings flush even on the error paths so
-// rolled-back behaviors still account their work.
-func (s *state) runToQuiescenceTimed() (err error) {
+// rolled-back behaviors still account their work. Untimed, elapsed
+// reads no clock and every interval is zero, so the disabled path costs
+// nothing.
+func (s *state) runToQuiescence() (err error) {
 	met, tr := s.opts.Metrics, s.opts.Tracer
-	start := now()
+	timed := met != nil || tr != nil
+	var start time.Time
 	var genNs, exeNs int64
-	defer func() {
-		if met != nil {
-			met.GenerateNs.Add(s.shard, genNs)
-			met.ExecuteNs.Add(s.shard, exeNs)
-			met.StateNs.Observe(now().Sub(start).Nanoseconds())
+	if timed {
+		start = now()
+		defer func() {
+			if met != nil {
+				met.GenerateNs.Add(s.shard, genNs)
+				met.ExecuteNs.Add(s.shard, exeNs)
+				met.StateNs.Observe(now().Sub(start).Nanoseconds())
+			}
+			tr.Span("quiesce", "phase", s.shard, start)
+		}()
+	}
+	elapsed := func() int64 {
+		if timed {
+			return int64(now().Sub(start))
 		}
-		tr.Span("quiesce", "phase", s.shard, start)
-	}()
+		return 0
+	}
 	for {
-		t0 := now()
+		t0 := elapsed()
 		gen, gerr := s.generate()
-		genNs += now().Sub(t0).Nanoseconds()
+		genNs += elapsed() - t0
 		if gerr != nil {
 			return gerr
 		}
-		t0 = now()
+		t0 = elapsed()
 		exe, xerr := s.execute()
-		exeNs += now().Sub(t0).Nanoseconds()
+		exeNs += elapsed() - t0
 		if xerr != nil {
 			return xerr
 		}
@@ -462,9 +451,9 @@ func (s *state) runToQuiescenceTimed() (err error) {
 			break
 		}
 	}
-	t0 := now()
+	t0 := elapsed()
 	err = s.closure()
-	exeNs += now().Sub(t0).Nanoseconds()
+	exeNs += elapsed() - t0
 	return err
 }
 

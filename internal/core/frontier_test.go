@@ -172,6 +172,58 @@ func TestFrontierDemotionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrontierBudgetIsEngineWide: the frontier budget is one count for
+// the whole engine. On a two-worker engine under budget B, states queued
+// on worker 0 alone past B/2 stay resident; the first push past B
+// demotes worker 0's oldest entry; and the peak is the engine-wide
+// high-water mark, not a sum of per-worker peaks.
+func TestFrontierBudgetIsEngineWide(t *testing.T) {
+	root := newState(figure10Prog(), order.Relaxed(), Options{}.withDefaults())
+	if err := root.runToQuiescence(); err != nil {
+		t.Fatal(err)
+	}
+	e := &wsEngine{}
+	e.workers = []*wsWorker{{eng: e, idx: 0}, {eng: e, idx: 1}}
+	w0, w1 := e.workers[0], e.workers[1]
+	var states []*state
+	for i := 0; i < 7; i++ {
+		states = append(states, root.fork(&w0.pool))
+	}
+	c := states[0].residentBytes()
+	for i, s := range states {
+		if s.residentBytes() != c {
+			t.Fatalf("state %d charges %d bytes, state 0 %d", i, s.residentBytes(), c)
+		}
+	}
+	e.frBudget = 4 * c
+	for _, s := range states[:4] {
+		w0.push(s)
+	}
+	if got := w0.dem.count(); got != 0 {
+		t.Fatalf("%d of %d states demoted at %d resident bytes, within the %d-byte budget", got, 4, e.resident.Load(), e.frBudget)
+	}
+	w0.push(states[4])
+	if got := w0.dem.count(); got != 1 || w0.deque[w0.head] != states[1] {
+		t.Fatalf("one push past the budget demoted %d states; oldest resident is state 1: %t", got, w0.deque[w0.head] == states[1])
+	}
+	if got := e.resident.Load(); got != 4*c {
+		t.Errorf("resident %d bytes after the demotion, want %d", got, 4*c)
+	}
+	for {
+		if s, path := w0.pop(); s == nil && path == nil {
+			break
+		}
+	}
+	w1.push(states[5])
+	w1.push(states[6])
+	if got := e.resident.Load(); got != 2*c {
+		t.Errorf("resident %d bytes with two states on worker 1, want %d", got, 2*c)
+	}
+	if got := e.peak.Load(); got != 5*c {
+		t.Errorf("peak %d bytes, want the engine-wide high-water mark %d", got, 5*c)
+	}
+}
+
 // keysOf renders the executions in result order. The engine returns them
 // in one canonical order at every width, so equal strings mean equal
 // behavior sets in equal order.

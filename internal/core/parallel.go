@@ -75,9 +75,12 @@ type wsEngine struct {
 	// pending reaching zero means the enumeration is complete.
 	pending  atomic.Int64
 	explored atomic.Int64
-	// resident sums the workers' resident frontier bytes for the live
-	// frontier_resident_bytes gauge (maintained only with metrics on).
+	// resident is the engine-wide count of resident frontier bytes, the
+	// one count frBudget (Options.FrontierResidentBytes resolved; 0 never
+	// demotes) is checked against; peak is its high-water mark.
 	resident atomic.Int64
+	peak     atomic.Int64
+	frBudget int64
 
 	stop atomic.Bool
 
@@ -124,17 +127,13 @@ type wsWorker struct {
 	deque   []*state
 	current *state
 	// Frontier demotion (see frontier.go): charges mirrors deque (the
-	// resident charge of each queued state), bytes their sum, budget the
-	// per-worker share of Options.FrontierResidentBytes. dem holds the
-	// demoted (older) portion of this worker's frontier as compressed
-	// replay paths. currentDemoted advertises a demoted path between its
-	// removal from a stack and the completion of its replay, preserving
-	// the frontier-snapshot invariant that no behavior is in transit
-	// outside all locks.
+	// resident charge of each queued state, counted in wsEngine.resident).
+	// dem holds the demoted (older) portion of this worker's frontier as
+	// compressed replay paths. currentDemoted advertises a demoted path
+	// between its removal from a stack and the completion of its replay,
+	// preserving the frontier-snapshot invariant that no behavior is in
+	// transit outside all locks.
 	charges        []int64
-	bytes          int64
-	peak           int64
-	budget         int64
 	dem            demotedStack
 	currentDemoted []PathStep
 
@@ -183,20 +182,13 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 	e.finals.init(workers, opts, 0)
 	e.workers = make([]*wsWorker, workers)
 	limit := stateLimitFor(opts.MaxNodes)
-	// The frontier budget is split evenly across workers: each deque
-	// demotes its own oldest entries past its share.
-	frBudget := opts.FrontierResidentBytes
-	if frBudget < 0 {
-		frBudget = autoFrontierBudget(opts.MaxNodes)
-	}
-	var perWorker int64
-	if frBudget > 0 {
-		perWorker = max(frBudget/int64(workers), 1)
+	e.frBudget = opts.FrontierResidentBytes
+	if e.frBudget < 0 {
+		e.frBudget = autoFrontierBudget(opts.MaxNodes)
 	}
 	for i := range e.workers {
 		e.workers[i] = &wsWorker{eng: e, idx: i, rng: uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
 		e.workers[i].pool.limitBytes = limit
-		e.workers[i].budget = perWorker
 	}
 
 	e.seen.seed(opts.SeedSeen)
@@ -251,15 +243,12 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 	res := &Result{Model: pol.Name()}
 	res.Stats.StatesExplored = int(e.explored.Load())
 	res.Stats.Workers = workers
+	res.Stats.FrontierResidentPeak = e.peak.Load()
 	for _, w := range e.workers {
 		res.Stats.Forks += w.stats.Forks
 		res.Stats.ChildrenElided += w.stats.ChildrenElided
 		res.Stats.TrialRollbacks += w.stats.TrialRollbacks
 		res.Stats.FrontierDemoted += w.stats.FrontierDemoted
-		// Summed per-worker peaks: exact at width 1, and above that a
-		// conservative bound on the true simultaneous peak, which no
-		// single lock ever observes.
-		res.Stats.FrontierResidentPeak += w.peak
 		res.Stats.Rollbacks += w.stats.Rollbacks
 		res.Stats.DuplicatesDiscarded += w.stats.DuplicatesDiscarded
 		res.Stats.PrefixPruned += w.stats.PrefixPruned
@@ -346,11 +335,15 @@ func enumerateParallelFrom(ctx context.Context, p *program.Program, pol order.Po
 	return res, nil
 }
 
-// residentDelta feeds a change in some worker's resident frontier bytes
-// into the live frontier_resident_bytes gauge.
+// residentDelta applies a change in some worker's resident frontier
+// bytes to the engine-wide count, its high-water mark and the live
+// frontier_resident_bytes gauge.
 func (e *wsEngine) residentDelta(d int64) {
-	if e.met != nil && d != 0 {
-		e.met.FrontierResident.Set(e.resident.Add(d))
+	n := e.resident.Add(d)
+	for p := e.peak.Load(); n > p && !e.peak.CompareAndSwap(p, n); p = e.peak.Load() {
+	}
+	if e.met != nil {
+		e.met.FrontierResident.Set(n)
 	}
 }
 
@@ -358,25 +351,20 @@ func (e *wsEngine) residentDelta(d int64) {
 // frontier budget, and wakes a parked worker if any. The caller must have
 // accounted for the behavior in e.pending before pushing.
 func (w *wsWorker) push(s *state) {
+	e := w.eng
 	c := s.residentBytes()
 	w.mu.Lock()
 	w.deque = append(w.deque, s)
 	w.charges = append(w.charges, c)
-	w.bytes += c
-	w.eng.residentDelta(c)
-	if w.bytes > w.peak {
-		w.peak = w.bytes
-	}
-	if w.budget > 0 {
-		// Demote the oldest resident entries until the deque fits; the
-		// newest stays resident (the owner pops it right back in the
-		// common depth-first pattern).
-		for w.bytes > w.budget && len(w.deque)-w.head > 1 {
-			w.demoteOldestLocked()
-		}
+	e.residentDelta(c)
+	// While the engine-wide count is over budget, demote this deque's
+	// oldest resident entries; its newest stays resident (the owner pops
+	// it right back in the common depth-first pattern).
+	for e.frBudget > 0 && e.resident.Load() > e.frBudget && len(w.deque)-w.head > 1 {
+		w.demoteOldestLocked()
 	}
 	w.mu.Unlock()
-	w.eng.wake()
+	e.wake()
 }
 
 // demoteOldestLocked compresses the oldest resident behavior onto the
@@ -404,7 +392,6 @@ func (w *wsWorker) pop() (*state, []PathStep) {
 		s := w.deque[n]
 		w.deque[n] = nil
 		w.deque = w.deque[:n]
-		w.bytes -= w.charges[n]
 		w.eng.residentDelta(-w.charges[n])
 		w.charges = w.charges[:n]
 		w.resetIfEmptyLocked()
@@ -426,7 +413,6 @@ func (w *wsWorker) takeOldestLocked() *state {
 	}
 	s := w.deque[w.head]
 	w.deque[w.head] = nil
-	w.bytes -= w.charges[w.head]
 	w.eng.residentDelta(-w.charges[w.head])
 	w.head++
 	w.resetIfEmptyLocked()

@@ -34,32 +34,33 @@ func hasDegradation(reasons []string, leg string) bool {
 }
 
 // TestSpillFlushFailureDegrades: when every run-file creation fails, the
-// store latches broken, keeps exact membership in memory, and records
-// the flush reason exactly once.
+// store latches broken, the set keeps exact membership in memory, and
+// the flush reason is recorded exactly once.
 func TestSpillFlushFailureDegrades(t *testing.T) {
 	wantErr := errors.New("disk full (injected)")
 	withRunFiles(t, func() (*os.File, error) { return nil, wantErr })
 
-	st := newSpillStore(16*8, &spillShared{}) // hotCap = 8 keys: no flush succeeds
+	k := budgetedSet(1, 16*8, nil, nil) // hotCap = 8 keys: no flush succeeds
 	const n = 200
 	for i := uint64(0); i < n; i++ {
-		if !st.insert(splitmix64(i)) {
+		if !k.insert(splitmix64(i), "") {
 			t.Fatalf("key %d: first insert reported duplicate", i)
 		}
 	}
-	if !st.broken {
+	if !k.cold.broken {
 		t.Fatal("store did not latch broken after flush failure")
 	}
 	for i := uint64(0); i < n; i++ {
-		if st.insert(splitmix64(i)) {
+		if k.insert(splitmix64(i), "") {
 			t.Fatalf("key %d: lost after degraded flush", i)
 		}
 	}
-	if !hasDegradation(st.degraded, "flush") {
-		t.Fatalf("degradations %v missing the flush reason", st.degraded)
+	degraded := k.degradations()
+	if !hasDegradation(degraded, "flush") {
+		t.Fatalf("degradations %v missing the flush reason", degraded)
 	}
-	if len(st.degraded) != 1 {
-		t.Errorf("degradation reasons not deduplicated per leg: %v", st.degraded)
+	if len(degraded) != 1 {
+		t.Errorf("degradation reasons not deduplicated per leg: %v", degraded)
 	}
 }
 
@@ -76,26 +77,27 @@ func TestSpillReadFailureDegrades(t *testing.T) {
 			os.O_CREATE|os.O_WRONLY, 0o600)
 	})
 
-	st := newSpillStore(16*8, &spillShared{})
+	k := budgetedSet(1, 16*8, nil, nil)
+	defer k.release()
 	const n = 100
 	for i := uint64(0); i < n; i++ {
-		st.insert(splitmix64(i))
+		k.insert(splitmix64(i), "")
 	}
-	if len(st.runs) == 0 {
+	if len(k.cold.runs) == 0 {
 		t.Fatal("no runs flushed; the test needs a cold tier to probe")
 	}
 	// A spilled key now reads as "not seen": insert reports new again.
 	relost := 0
 	for i := uint64(0); i < n; i++ {
-		if st.insert(splitmix64(i)) {
+		if k.insert(splitmix64(i), "") {
 			relost++
 		}
 	}
 	if relost == 0 {
 		t.Fatal("no key was re-admitted; read failures were not exercised")
 	}
-	if !hasDegradation(st.degraded, "read") {
-		t.Fatalf("degradations %v missing the read reason", st.degraded)
+	if !hasDegradation(k.degradations(), "read") {
+		t.Fatalf("degradations %v missing the read reason", k.degradations())
 	}
 }
 
@@ -117,23 +119,24 @@ func TestSpillCompactFailureKeepsBudget(t *testing.T) {
 		}
 		return os.CreateTemp(dir, "mmdedup-*.run")
 	})
-	st := newSpillStore(budget, &spillShared{})
-	defer st.release()
+	k := budgetedSet(1, budget, nil, nil)
+	defer k.release()
+	st := k.cold
 	const n = 4000
 	for i := 0; i < n; i++ {
-		st.insert(splitmix64(uint64(i)))
-		if hot := int64(len(st.hot)) * spillHotBytesPerKey; hot+st.filterBytes > budget || 2*st.filterBytes > budget {
+		k.insert(splitmix64(uint64(i)), "")
+		if hot := int64(hotKeys(k)) * spillHotBytesPerKey; hot+st.filterBytes > budget || 2*st.filterBytes > budget {
 			t.Fatalf("insert %d: %d hot bytes + %d filter bytes exceed the %d-byte budget or its half", i, hot, st.filterBytes, budget)
 		}
 	}
-	if len(st.runs) <= spillMaxRuns || !hasDegradation(st.degraded, "compact") {
-		t.Fatalf("%d runs, degradations %v: compactions did not fail", len(st.runs), st.degraded)
+	if len(st.runs) <= spillMaxRuns || !hasDegradation(k.degradations(), "compact") {
+		t.Fatalf("%d runs, degradations %v: compactions did not fail", len(st.runs), k.degradations())
 	}
 	if st.broken {
 		t.Error("a compaction failure latched the store broken")
 	}
 	for i := 0; i < n; i++ {
-		if !st.contains(splitmix64(uint64(i))) {
+		if !setHas(k, splitmix64(uint64(i))) {
 			t.Fatalf("key %d lost", i)
 		}
 	}
@@ -221,7 +224,7 @@ func TestIncompleteCarriesSpillDegradation(t *testing.T) {
 	}
 }
 
-// TestSpillTierObservability: the spill store's gauges track the
+// TestSpillTierObservability: a budgeted set's gauges track the
 // resident hot tier and run filters, the run-file count, and
 // compactions, and a degradation lands in the journal as a
 // spill.degraded event — the "why did memory stop growing?" view.
@@ -229,10 +232,11 @@ func TestIncompleteCarriesSpillDegradation(t *testing.T) {
 // budget gauge.
 func TestSpillTierObservability(t *testing.T) {
 	met := telemetry.NewEnumMetrics(nil)
-	st := newSpillStore(16*8, &spillShared{met: met}) // hotCap = 8 keys until the first flush
+	k := budgetedSet(1, 16*8, met, nil) // hotCap = 8 keys until the first flush
+	st := k.cold
 	snap := func() telemetry.Snapshot { return met.Snapshot() }
 	for i := uint64(0); i < 4; i++ {
-		st.insert(splitmix64(i))
+		k.insert(splitmix64(i), "")
 	}
 	if got := snap()["enum_dedup_resident_bytes"]; got != 4*spillHotBytesPerKey {
 		t.Errorf("enum_dedup_resident_bytes = %d after 4 inserts; want %d", got, 4*spillHotBytesPerKey)
@@ -240,14 +244,14 @@ func TestSpillTierObservability(t *testing.T) {
 	// Push past the hot cap repeatedly: runs accumulate, then compaction
 	// folds them back to one.
 	for i := uint64(4); i < 8*(spillMaxRuns+2); i++ {
-		st.insert(splitmix64(i))
+		k.insert(splitmix64(i), "")
 	}
-	defer st.release()
+	defer k.release()
 	if got := snap()["enum_dedup_runfiles"]; got != int64(len(st.runs)) {
 		t.Errorf("enum_dedup_runfiles = %d; store has %d runs", got, len(st.runs))
 	}
 	if got := snap()["enum_dedup_resident_bytes"]; got != st.resident() || st.filterBytes == 0 {
-		t.Errorf("enum_dedup_resident_bytes = %d; store holds %d hot keys and %d filter bytes", got, len(st.hot), st.filterBytes)
+		t.Errorf("enum_dedup_resident_bytes = %d; set holds %d hot keys and %d filter bytes", got, hotKeys(k), st.filterBytes)
 	}
 	if got := snap()["enum_dedup_compactions_total"]; got < 1 {
 		t.Errorf("enum_dedup_compactions_total = %d after %d runs worth of inserts; want >= 1", got, spillMaxRuns+2)
@@ -258,11 +262,11 @@ func TestSpillTierObservability(t *testing.T) {
 	jl := obslog.New(&buf, "r1", "test")
 	wantErr := errors.New("disk full (injected)")
 	withRunFiles(t, func() (*os.File, error) { return nil, wantErr })
-	st2 := newSpillStore(16*8, &spillShared{met: met, jl: jl})
+	k2 := budgetedSet(1, 16*8, met, jl)
 	for i := uint64(0); i < 20; i++ {
-		st2.insert(splitmix64(i))
+		k2.insert(splitmix64(i), "")
 	}
-	if !st2.broken {
+	if !k2.cold.broken {
 		t.Fatal("store did not latch broken")
 	}
 	if !strings.Contains(buf.String(), `"msg":"spill.degraded"`) || !strings.Contains(buf.String(), "disk full") {

@@ -7,8 +7,11 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"storeatomicity/internal/obslog"
 	"storeatomicity/internal/order"
 	"storeatomicity/internal/telemetry"
 )
@@ -21,14 +24,41 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// TestSpillStoreRoundtrip: a store with a tiny hot tier must keep exact
+// budgetedSet builds a set under a spill budget the way the engine
+// builds its seen-set at the given width.
+func budgetedSet(width int, budget int64, met *telemetry.EnumMetrics, jl *obslog.Journal) *shardedSet {
+	k := &shardedSet{}
+	k.init(width, Options{Metrics: met, Journal: jl}.withDefaults(), budget)
+	return k
+}
+
+// setHas reports whether any tier of a budgeted set holds h, without
+// inserting it.
+func setHas(k *shardedSet, h uint64) bool {
+	sh := k.lock(h)
+	defer sh.mu.Unlock()
+	_, ok := sh.seen[h]
+	return ok || k.cold.contains(h, &sh.blockBuf)
+}
+
+// hotKeys counts the keys in a set's shard maps, its hot tier.
+func hotKeys(k *shardedSet) int {
+	n := 0
+	for i := range k.shards {
+		n += len(k.shards[i].seen)
+	}
+	return n
+}
+
+// TestSpillStoreRoundtrip: a set with a tiny hot tier must keep exact
 // membership across many flushes and compactions, and release must
 // delete its run files.
 func TestSpillStoreRoundtrip(t *testing.T) {
-	st := newSpillStore(16*8, &spillShared{}) // hotCap ≤ 8 keys → hundreds of flushes
+	k := budgetedSet(1, 16*8, nil, nil) // hotCap ≤ 8 keys → hundreds of flushes
+	st := k.cold
 	const n = 5000
 	for i := uint64(0); i < n; i++ {
-		if !st.insert(splitmix64(i)) {
+		if !k.insert(splitmix64(i), "") {
 			t.Fatalf("key %d: first insert reported duplicate", i)
 		}
 	}
@@ -39,15 +69,15 @@ func TestSpillStoreRoundtrip(t *testing.T) {
 		t.Fatalf("compaction did not bound the run list: %d runs", len(st.runs))
 	}
 	for i := uint64(0); i < n; i++ {
-		if st.insert(splitmix64(i)) {
+		if k.insert(splitmix64(i), "") {
 			t.Fatalf("key %d: re-insert reported new", i)
 		}
-		if !st.contains(splitmix64(i)) {
+		if !setHas(k, splitmix64(i)) {
 			t.Fatalf("key %d: lost after spill", i)
 		}
 	}
 	for i := uint64(n); i < n+1000; i++ {
-		if st.contains(splitmix64(i)) {
+		if setHas(k, splitmix64(i)) {
 			t.Fatalf("key %d: false positive", i)
 		}
 	}
@@ -55,7 +85,7 @@ func TestSpillStoreRoundtrip(t *testing.T) {
 	for _, r := range st.runs {
 		files = append(files, r.f.Name())
 	}
-	st.release()
+	k.release()
 	for _, name := range files {
 		if _, err := os.Stat(name); !os.IsNotExist(err) {
 			t.Errorf("run file %s survived release (err=%v)", name, err)
@@ -196,20 +226,20 @@ func TestCollisionGuardPanics(t *testing.T) {
 	k.insert(h, "sigB")
 }
 
-// freshReadsPerProbe probes count keys no store insert used (splitmix64
+// freshReadsPerProbe probes count keys no set insert used (splitmix64
 // of from, from+1, …) and returns the run blocks read per probe.
-func freshReadsPerProbe(t *testing.T, st *spillStore, met *telemetry.EnumMetrics, from uint64, count int) float64 {
+func freshReadsPerProbe(t *testing.T, k *shardedSet, met *telemetry.EnumMetrics, from uint64, count int) float64 {
 	t.Helper()
 	before := met.SpillReads.Value()
 	for i := uint64(0); i < uint64(count); i++ {
-		if st.contains(splitmix64(from + i)) {
+		if setHas(k, splitmix64(from+i)) {
 			t.Fatalf("fresh key %d reported seen", from+i)
 		}
 	}
 	return float64(met.SpillReads.Value()-before) / float64(count)
 }
 
-// TestSpillBudgetHolds streams 200k keys through a store with a 4 KiB
+// TestSpillBudgetHolds streams 200k keys through a set with a 4 KiB
 // budget, through hundreds of flushes and compactions. After every
 // insert the hot tier plus the run filters stay within the budget, and
 // the filters within half of it; the hot tier holds budget/16 keys
@@ -224,11 +254,12 @@ func freshReadsPerProbe(t *testing.T, st *spillStore, met *telemetry.EnumMetrics
 func TestSpillBudgetHolds(t *testing.T) {
 	const budget, n = 4 << 10, 200_000
 	met := telemetry.NewEnumMetrics(nil)
-	st := newSpillStore(budget, &spillShared{met: met})
-	defer st.release()
+	k := budgetedSet(1, budget, met, nil)
+	defer k.release()
+	st := k.cold
 	firstFlush, probedFresh := 0, false
 	for i := 0; i < n; i++ {
-		if !st.insert(splitmix64(uint64(i))) {
+		if !k.insert(splitmix64(uint64(i)), "") {
 			t.Fatalf("key %d: first insert reported duplicate", i)
 		}
 		var filters int64
@@ -238,19 +269,19 @@ func TestSpillBudgetHolds(t *testing.T) {
 		if filters != st.filterBytes {
 			t.Fatalf("insert %d: runs hold %d filter bytes, store counts %d", i, filters, st.filterBytes)
 		}
-		if hot := int64(len(st.hot)) * spillHotBytesPerKey; hot+filters > budget || 2*filters > budget {
+		if hot := int64(hotKeys(k)) * spillHotBytesPerKey; hot+filters > budget || 2*filters > budget {
 			t.Fatalf("insert %d: %d hot bytes + %d filter bytes exceed the %d-byte budget or its half", i, hot, filters, budget)
 		}
 		if firstFlush == 0 {
 			if len(st.runs) > 0 {
 				firstFlush = i + 1
-			} else if len(st.hot) != i+1 {
-				t.Fatalf("insert %d: hot tier holds %d keys before the first flush", i, len(st.hot))
+			} else if hotKeys(k) != i+1 {
+				t.Fatalf("insert %d: hot tier holds %d keys before the first flush", i, hotKeys(k))
 			}
 		}
 		if len(st.runs) == spillMaxRuns && met.SpillCompactions.Value() == 0 && !probedFresh {
 			probedFresh = true
-			if got := freshReadsPerProbe(t, st, met, 1<<40, 20_000); got >= 0.1 {
+			if got := freshReadsPerProbe(t, k, met, 1<<40, 20_000); got >= 0.1 {
 				t.Fatalf("%d runs at full filter density: fresh keys read %.3f blocks per probe, want < 0.1", len(st.runs), got)
 			}
 		}
@@ -271,12 +302,12 @@ func TestSpillBudgetHolds(t *testing.T) {
 	}
 	reads := met.SpillReads.Value()
 	for i := 0; i < n; i++ {
-		if !st.contains(splitmix64(uint64(i))) {
+		if !setHas(k, splitmix64(uint64(i))) {
 			t.Fatalf("key %d lost", i)
 		}
 	}
 	// A spilled key is found only by reading its block.
-	if got, spilled := met.SpillReads.Value()-reads, int64(n-len(st.hot)); got < spilled {
+	if got, spilled := met.SpillReads.Value()-reads, int64(n-hotKeys(k)); got < spilled {
 		t.Errorf("finding %d spilled keys read %d blocks", spilled, got)
 	}
 	if st.filterBytes != 0 || st.hotCap != budget/spillHotBytesPerKey {
@@ -286,29 +317,23 @@ func TestSpillBudgetHolds(t *testing.T) {
 }
 
 // TestSpillGaugesDescribeWholeSet: above width 1 the seen-set has 64
-// stores, and its gauges must describe all of them: the budget gauge
-// holds the configured budget, and the resident and run-file gauges the
-// sums over every shard's store (resident bytes count the filters).
-// Checked on a set driven directly, where the sums can be read back, and
-// on engine runs at widths 1 and 4, each under a budget that spills.
+// shards, and its gauges must describe all of them: the budget gauge
+// holds the configured budget, the resident gauge every shard's hot keys
+// plus the filters, and the run-file gauge the live runs. Checked on a
+// set driven directly, where the totals can be read back, and on engine
+// runs at widths 1 and 4, each under a budget that spills.
 func TestSpillGaugesDescribeWholeSet(t *testing.T) {
 	for _, c := range []struct {
 		width  int
 		budget int64
-	}{{1, 1024}, {4, 4096}} {
+	}{{1, 1024}, {4, 1024}} {
 		met := telemetry.NewEnumMetrics(nil)
-		var k shardedSet
-		k.init(c.width, Options{Metrics: met}.withDefaults(), c.budget)
+		k := budgetedSet(c.width, c.budget, met, nil)
 		for i := uint64(0); i < 3000; i++ {
 			k.insert(splitmix64(i), "")
 		}
-		var resident, files int64
-		for i := range k.shards {
-			if st := k.shards[i].spill; st != nil {
-				resident += st.resident()
-				files += int64(len(st.runs))
-			}
-		}
+		resident := int64(hotKeys(k))*spillHotBytesPerKey + k.cold.filterBytes
+		files := int64(len(k.cold.runs))
 		k.release()
 		snap := met.Snapshot()
 		if got := snap["enum_dedup_budget_bytes"]; got != c.budget {
@@ -345,7 +370,78 @@ func TestSpillGaugesDescribeWholeSet(t *testing.T) {
 	}
 }
 
-// BenchmarkSpillContains times a cold lookup on a store past its budget:
+// TestSpillConcurrentFlush: four goroutines insert overlapping key
+// streams into a 64-shard set under a 256-byte budget, through hundreds
+// of flushes that each lock every shard. Goroutines 0 and 2 (and 1 and
+// 3) insert the same keys in the same order, racing on each key. Across
+// all of them each key is reported new exactly once, and every key is
+// found afterwards.
+func TestSpillConcurrentFlush(t *testing.T) {
+	const goroutines, n = 4, 4000
+	met := telemetry.NewEnumMetrics(nil)
+	k := budgetedSet(goroutines, 256, met, nil)
+	defer k.release()
+	news := make([]atomic.Int32, n)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(from int) {
+			defer wg.Done()
+			for j := 0; j < n; j++ {
+				i := (from + j) % n
+				if k.insert(splitmix64(uint64(i)), "") {
+					news[i].Add(1)
+				}
+			}
+		}(g % 2 * n / 2)
+	}
+	wg.Wait()
+	for i := range news {
+		if got := news[i].Load(); got != 1 {
+			t.Fatalf("key %d reported new %d times", i, got)
+		}
+	}
+	if runs := met.SpillRuns.Value(); runs < 100 {
+		t.Fatalf("%d flushes; the test needs hundreds", runs)
+	}
+	for i := 0; i < n; i++ {
+		if !setHas(k, splitmix64(uint64(i))) {
+			t.Fatalf("key %d lost", i)
+		}
+	}
+}
+
+// TestSpillOneBudgetAtEveryWidth: a dedup budget bounds the whole
+// seen-set at every width, so a wider engine flushes about as many runs
+// as width 1 does and keeps no more run files than one store's
+// compaction allows.
+func TestSpillOneBudgetAtEveryWidth(t *testing.T) {
+	for _, budget := range []int64{256, 1024} {
+		runs := map[int]int64{}
+		for _, width := range []int{1, 2, 4} {
+			met := telemetry.NewEnumMetrics(nil)
+			if _, err := EnumerateParallel(context.Background(), figure10Prog(), order.Relaxed(),
+				Options{DedupMemBudget: budget, Metrics: met}, width); err != nil {
+				t.Fatal(err)
+			}
+			snap := met.Snapshot()
+			runs[width] = snap["enum_dedup_spill_runs_total"]
+			if files := snap["enum_dedup_runfiles"]; files > spillMaxRuns {
+				t.Errorf("budget %d, width %d: %d live run files, want at most %d", budget, width, files, spillMaxRuns)
+			}
+		}
+		if runs[1] == 0 {
+			t.Fatalf("budget %d: width 1 flushed no run", budget)
+		}
+		for _, width := range []int{2, 4} {
+			if d := runs[width] - runs[1]; d < -1 || d > 1 {
+				t.Errorf("budget %d: width %d flushed %d runs, width 1 %d", budget, width, runs[width], runs[1])
+			}
+		}
+	}
+}
+
+// BenchmarkSpillContains times a cold lookup on a set past its budget:
 // 40k keys through a 64 KiB budget, so most of them sit in filtered
 // runs on disk. "disk" looks up keys the runs hold (about one block read
 // each); "fresh" looks up keys no run holds (a filter "no" reads
@@ -353,10 +449,10 @@ func TestSpillGaugesDescribeWholeSet(t *testing.T) {
 func BenchmarkSpillContains(b *testing.B) {
 	const budget, n = 64 << 10, 40_000
 	met := telemetry.NewEnumMetrics(nil)
-	st := newSpillStore(budget, &spillShared{met: met})
-	defer st.release()
+	k := budgetedSet(1, budget, met, nil)
+	defer k.release()
 	for i := uint64(0); i < n; i++ {
-		st.insert(splitmix64(i))
+		k.insert(splitmix64(i), "")
 	}
 	for _, c := range []struct {
 		name string
@@ -368,7 +464,7 @@ func BenchmarkSpillContains(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// The first half of the keys were flushed long ago.
-				if st.contains(splitmix64(c.base+uint64(i%(n/2)))) != c.hit {
+				if setHas(k, splitmix64(c.base+uint64(i%(n/2)))) != c.hit {
 					b.Fatalf("key %d: contains = %v, want %v", c.base+uint64(i%(n/2)), !c.hit, c.hit)
 				}
 			}
